@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -12,9 +13,11 @@
 #include "sim/barrier.hpp"
 #include "sim/channel.hpp"
 #include "sim/lp_scheduler.hpp"
+#include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/task.hpp"
 #include "sim/timer.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -121,6 +124,43 @@ void BM_ManyProcessesInterleaved(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * procs * 32);
 }
 BENCHMARK(BM_ManyProcessesInterleaved)->Arg(100)->Arg(1'000);
+
+// Figure-shaped kernel traffic.  The paper-scale runs keep 30-300 events
+// pending (WW-POSIX at 96 procs averages 30) at mostly distinct ns-us
+// times, plus same-instant handoffs.  Each process here runs a network-
+// style delay chain (link latency, then transfer time), then takes one of
+// a few FIFO server resources for a service delay; a release hands the
+// slot to the next waiter at the same instant, like a PFS server grant.
+// Unlike ScheduleRunChurn, no two processes share a delay pattern, so
+// events almost never pile onto a common tick.
+void BM_FigureEventMix(benchmark::State& state) {
+  const auto procs = static_cast<int>(state.range(0));
+  constexpr int kSteps = 64;
+  constexpr std::size_t kServers = 8;
+  for (auto _ : state) {
+    Scheduler sched;
+    std::vector<std::unique_ptr<sim::Resource>> servers;
+    for (std::size_t i = 0; i < kServers; ++i)
+      servers.push_back(std::make_unique<sim::Resource>(sched));
+    auto proc = [](Scheduler& s,
+                   std::vector<std::unique_ptr<sim::Resource>>& pool,
+                   int id) -> Process {
+      util::Xoshiro256 rng(static_cast<std::uint64_t>(id) + 1);
+      for (int i = 0; i < kSteps; ++i) {
+        co_await s.delay(7'500 + static_cast<sim::Time>(rng() % 2'000));
+        co_await s.delay(static_cast<sim::Time>(rng() % 50'000));
+        sim::Resource& server = *pool[rng() % kServers];
+        co_await server.acquire();
+        co_await s.delay(1'000 + static_cast<sim::Time>(rng() % 20'000));
+        server.release();
+      }
+    };
+    for (int p = 0; p < procs; ++p) sched.spawn(proc(sched, servers, p));
+    benchmark::DoNotOptimize(sched.run());
+  }
+  state.SetItemsProcessed(state.iterations() * procs * kSteps);
+}
+BENCHMARK(BM_FigureEventMix)->Arg(32)->Arg(300);
 
 void BM_ChannelPingPong(benchmark::State& state) {
   const auto rounds = static_cast<int>(state.range(0));

@@ -170,8 +170,8 @@ std::size_t LpScheduler::execute_window() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     next_.store(0, std::memory_order_relaxed);
-    remaining_.store(stealable_.size(), std::memory_order_relaxed);
     in_window_ = true;
+    round_open_ = true;
     ++round_;
   }
   round_start_.notify_all();
@@ -181,12 +181,16 @@ std::size_t LpScheduler::execute_window() {
   for (Lp* lp : pinned_) run_lp(*lp, coordinator);
   claim_loop(coordinator);
 
+  // Every LP is claimed once the coordinator's own claim loop returns, so
+  // the round is over when every worker that joined it has left its claim
+  // loop.  Closing the round under the mutex keeps late wakers out: no
+  // worker can touch the claim cursor or `stealable_` while the next
+  // window is planned.
   const auto wait_begin = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    round_done_.wait(lock, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
-    });
+    round_done_.wait(lock, [this] { return claiming_ == 0; });
+    round_open_ = false;
     in_window_ = false;
   }
   if (met_stall_seconds_ != nullptr) {
@@ -202,10 +206,6 @@ void LpScheduler::claim_loop(unsigned thread_index) {
     const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
     if (index >= stealable_.size()) return;
     run_lp(*stealable_[index], thread_index);
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      round_done_.notify_one();
-    }
   }
 }
 
@@ -234,11 +234,15 @@ void LpScheduler::worker_main(unsigned thread_index) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      round_start_.wait(lock, [&] { return stop_ || round_ != seen; });
+      round_start_.wait(
+          lock, [&] { return stop_ || (round_open_ && round_ != seen); });
       if (stop_) return;
       seen = round_;
+      ++claiming_;
     }
     claim_loop(thread_index);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--claiming_ == 0) round_done_.notify_one();
   }
 }
 

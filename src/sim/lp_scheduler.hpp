@@ -158,9 +158,10 @@ class LpScheduler {
   std::condition_variable round_start_;
   std::condition_variable round_done_;
   std::uint64_t round_ = 0;
+  bool round_open_ = false;   ///< workers may join the current round
+  std::size_t claiming_ = 0;  ///< workers inside the round's claim loop
   bool stop_ = false;
-  std::atomic<std::size_t> next_{0};       ///< claim cursor into stealable_
-  std::atomic<std::size_t> remaining_{0};  ///< unfinished stealable LPs
+  std::atomic<std::size_t> next_{0};  ///< claim cursor into stealable_
   std::atomic<std::size_t> window_resumed_{0};
 
   // Accounting.

@@ -29,8 +29,7 @@ std::size_t Scheduler::run() {
 std::size_t Scheduler::run_until(Time deadline) {
   std::size_t resumed = 0;
   while (!queue_.empty() && queue_.top().at <= deadline) {
-    const Event event = queue_.top();
-    queue_.pop();
+    const Event event = queue_.pop_next();
     if (cancelled(event)) continue;  // dead timer entry
     now_ = event.at;
     event.handle.resume();
@@ -50,8 +49,7 @@ std::size_t Scheduler::run_until(Time deadline) {
 std::size_t Scheduler::run_window(Time end) {
   std::size_t resumed = 0;
   while (!queue_.empty() && queue_.top().at < end) {
-    const Event event = queue_.top();
-    queue_.pop();
+    const Event event = queue_.pop_next();
     if (cancelled(event)) continue;  // dead timer entry
     now_ = event.at;
     event.handle.resume();

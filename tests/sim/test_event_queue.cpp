@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -16,124 +17,145 @@ namespace {
 
 using namespace s3asim::sim;
 
-/// Reference model: the exact total order the old binary heap dispatched —
-/// stable (insertion) order within a timestamp, global (at, seq) order
-/// across timestamps.
+/// Reference model: the exact total order a stable binary heap dispatches —
+/// insertion order within a timestamp, global (at, seq) order across
+/// timestamps.
 struct RefEntry {
   Time at;
   std::uint64_t seq;
+  bool operator<(const RefEntry& other) const {
+    return at != other.at ? at < other.at : seq < other.seq;
+  }
 };
 
 /// Drains `queue` fully and checks the pop sequence equals `expected`
 /// sorted by (at, seq).
 void expect_fifo_order(EventQueue& queue, std::vector<RefEntry> expected) {
-  std::sort(expected.begin(), expected.end(),
-            [](const RefEntry& a, const RefEntry& b) {
-              if (a.at != b.at) return a.at < b.at;
-              return a.seq < b.seq;
-            });
+  std::sort(expected.begin(), expected.end());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_FALSE(queue.empty()) << "queue drained early at " << i;
-    const Event& event = queue.top();
+    EXPECT_EQ(queue.top().at, expected[i].at) << "at index " << i;
+    const Event event = queue.pop_next();
     EXPECT_EQ(event.at, expected[i].at) << "at index " << i;
     EXPECT_EQ(event.seq, expected[i].seq) << "at index " << i;
-    queue.pop();
   }
   EXPECT_TRUE(queue.empty());
 }
 
+/// Pushes a plain entry and records it in `expected`.
+void push(EventQueue& queue, std::vector<RefEntry>& expected, Time at,
+          std::uint64_t& seq) {
+  queue.push({at, seq, {}, kNoCancelSlot, 0});
+  expected.push_back({at, seq});
+  ++seq;
+}
+
+constexpr Time kFar = Time{1} << 40;  // past any ns–ms delay chain
+
 TEST(EventQueueTest, SameTickDispatchesInInsertionOrder) {
   EventQueue queue;
   std::vector<RefEntry> expected;
-  for (std::uint64_t seq = 0; seq < 100; ++seq) {
-    queue.push({Time{42}, seq, {}, kNoCancelSlot, 0});
-    expected.push_back({Time{42}, seq});
-  }
+  std::uint64_t seq = 0;
+  while (seq < 100) push(queue, expected, Time{42}, seq);
   expect_fifo_order(queue, std::move(expected));
 }
 
 TEST(EventQueueTest, MixedDeltasMatchHeapOrder) {
-  // Deltas spanning every tier: 0 (same tick), <64 (level 0), mid wheels,
-  // and beyond the 2^36-tick horizon (overflow heap).
+  // Deltas from the same instant through ns–µs chains, milliseconds, and
+  // far-future timers past 2^36 ticks.
   EventQueue queue;
   std::vector<RefEntry> expected;
   s3asim::util::Xoshiro256 rng(1234);
-  const Time deltas[] = {0,     1,      63,        64,          4095,
-                         4096,  262143, 16777216,  EventQueue::kHorizon - 1,
-                         EventQueue::kHorizon, EventQueue::kHorizon * 2};
+  const Time deltas[] = {0,         1,         63,        64,
+                         4095,      7'500,     262'143,   16'777'216,
+                         1'000'000, Time{1} << 36, kFar, kFar * 2};
   std::uint64_t seq = 0;
-  for (int i = 0; i < 500; ++i) {
-    const Time at = static_cast<Time>(deltas[rng() % std::size(deltas)]);
-    queue.push({at, seq, {}, kNoCancelSlot, 0});
-    expected.push_back({at, seq});
-    ++seq;
-  }
+  for (int i = 0; i < 500; ++i)
+    push(queue, expected, deltas[rng() % std::size(deltas)], seq);
   expect_fifo_order(queue, std::move(expected));
 }
 
 TEST(EventQueueTest, RandomInterleavedPushPopKeepsTotalOrder) {
   // Property test: interleave pushes (at >= current dispatch time, as the
   // scheduler guarantees) with pops and compare every popped event against
-  // a stable-sorted reference.
+  // an ordered reference.  Same-instant pushes exercise the lane, the
+  // other deltas the heap.
   s3asim::util::Xoshiro256 rng(99);
   EventQueue queue;
-  std::vector<RefEntry> reference;  // not yet popped
+  std::set<RefEntry> reference;  // not yet popped
   Time now = 0;
   std::uint64_t seq = 0;
   std::uint64_t popped = 0;
-  for (int round = 0; round < 20'000; ++round) {
-    const bool push = queue.empty() || (rng() % 3) != 0;
+  for (int round = 0; round < 200'000; ++round) {
+    // Drift between push-heavy and pop-heavy phases so the pending depth
+    // sweeps from empty to a few hundred.
+    const bool push_heavy = (round / 2'000) % 2 == 0;
+    const bool push = queue.empty() || (rng() % 8) < (push_heavy ? 5u : 3u);
     if (push) {
       Time delta = 0;
       switch (rng() % 5) {
         case 0: delta = 0; break;
-        case 1: delta = static_cast<Time>(rng() % 64); break;
-        case 2: delta = static_cast<Time>(rng() % 100'000); break;
-        case 3: delta = static_cast<Time>(rng() % 10'000'000'000ULL); break;
+        case 1: delta = 1; break;
+        case 2: delta = static_cast<Time>(rng() % 100'000); break;  // ns–µs
+        case 3: delta = static_cast<Time>(rng() % 10'000'000); break;  // ms
         default:
-          delta = static_cast<Time>(EventQueue::kHorizon +
-                                    static_cast<Time>(rng() % 1'000'000));
+          delta = (Time{1} << 36) + static_cast<Time>(rng() % 1'000'000);
       }
       queue.push({now + delta, seq, {}, kNoCancelSlot, 0});
-      reference.push_back({now + delta, seq});
+      reference.insert({now + delta, seq});
       ++seq;
     } else {
-      auto best = reference.begin();
-      for (auto it = reference.begin(); it != reference.end(); ++it)
-        if (it->at < best->at || (it->at == best->at && it->seq < best->seq))
-          best = it;
-      const Event& event = queue.top();
-      ASSERT_EQ(event.at, best->at) << "after " << popped << " pops";
-      ASSERT_EQ(event.seq, best->seq) << "after " << popped << " pops";
+      const RefEntry best = *reference.begin();
+      ASSERT_EQ(queue.size(), reference.size());
+      ASSERT_EQ(queue.top().at, best.at) << "after " << popped << " pops";
+      const Event event = queue.pop_next();
+      ASSERT_EQ(event.at, best.at) << "after " << popped << " pops";
+      ASSERT_EQ(event.seq, best.seq) << "after " << popped << " pops";
       now = event.at;
-      queue.pop();
-      reference.erase(best);
+      reference.erase(reference.begin());
       ++popped;
     }
   }
-  // Drain the rest.
-  std::vector<RefEntry> rest(reference.begin(), reference.end());
-  expect_fifo_order(queue, std::move(rest));
+  EXPECT_GT(popped, 90'000u);
+  expect_fifo_order(queue, {reference.begin(), reference.end()});
 }
 
-TEST(EventQueueTest, FullRotationAliasAdvancesPastTheCursor) {
-  // Regression: a delta at the top of a level's range, pushed while the
-  // cursor sits inside a partial slot, lands a full wheel rotation ahead
-  // and its slot index aliases the cursor's own.  The cascade used to
-  // treat that slot's window as already reached and re-place the event
-  // into the same slot forever (livelock).  One case per wheel level,
-  // plus the top level spilling to overflow.
-  for (int level = 1; level < EventQueue::kLevels; ++level) {
-    EventQueue queue;
-    queue.push({Time{1}, 0, {}, kNoCancelSlot, 0});
-    (void)queue.top();
-    queue.pop();  // cursor now mid-slot at every level
-    const Time delta = (Time{1} << (EventQueue::kSlotBits * (level + 1))) - 1;
-    queue.push({Time{1} + delta, 1, {}, kNoCancelSlot, 0});
-    ASSERT_EQ(queue.top().at, Time{1} + delta) << "level " << level;
-    queue.pop();
-    EXPECT_TRUE(queue.empty());
-  }
+TEST(EventQueueTest, HeapEntriesForTheCurrentInstantPrecedeItsLaneEntries) {
+  // Events scheduled for t=10 before t=10 was reached sit in the heap;
+  // once t=10 is dispatched, new t=10 pushes join the lane behind them.
+  EventQueue queue;
+  std::vector<RefEntry> expected;
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 3; ++i) push(queue, expected, Time{10}, seq);
+  push(queue, expected, Time{20}, seq);
+  const Event first = queue.pop_next();
+  EXPECT_EQ(first.at, Time{10});
+  EXPECT_EQ(first.seq, 0u);
+  expected.erase(expected.begin());
+  for (int i = 0; i < 3; ++i) push(queue, expected, Time{10}, seq);
+  push(queue, expected, Time{15}, seq);
+  expect_fifo_order(queue, std::move(expected));
+}
+
+TEST(EventQueueTest, EarlierPushesAfterAStaleFarFutureEntryKeepOrder) {
+  // A cancelled far-future timer entry is popped (the scheduler discards
+  // it without advancing time), then events earlier than it are pushed:
+  // both the lane's instant and the heap must still yield (at, seq) order.
+  EventQueue queue;
+  std::uint64_t seq = 0;
+  queue.push({kFar, seq++, {}, 0, 0});
+  EXPECT_EQ(queue.pop_next().at, kFar);
+  std::vector<RefEntry> expected;
+  for (const Time at : {Time{100}, Time{100}, Time{50}, kFar, Time{100},
+                        kFar, Time{0}, kFar + 1})
+    push(queue, expected, at, seq);
+  const Event head = queue.pop_next();
+  EXPECT_EQ(head.at, Time{0});
+  expected.erase(std::find_if(expected.begin(), expected.end(),
+                              [](const RefEntry& e) { return e.at == 0; }));
+  for (const Time at : {Time{0}, Time{50}, Time{100}, kFar})
+    push(queue, expected, at, seq);
+  expect_fifo_order(queue, std::move(expected));
 }
 
 TEST(EventQueueTest, SizeTracksPushesAndPops) {
@@ -141,10 +163,12 @@ TEST(EventQueueTest, SizeTracksPushesAndPops) {
   EXPECT_TRUE(queue.empty());
   queue.push({10, 0, {}, kNoCancelSlot, 0});
   queue.push({10, 1, {}, kNoCancelSlot, 0});
+  queue.push({0, 2, {}, kNoCancelSlot, 0});  // lane: the initial instant
+  EXPECT_EQ(queue.size(), 3u);
+  (void)queue.pop_next();
   EXPECT_EQ(queue.size(), 2u);
-  queue.pop();
-  EXPECT_EQ(queue.size(), 1u);
-  queue.pop();
+  (void)queue.pop_next();
+  (void)queue.pop_next();
   EXPECT_TRUE(queue.empty());
 }
 
@@ -199,6 +223,35 @@ TEST(EventQueueTest, CancelledEntriesAreSkippedWithoutAdvancingTime) {
   EXPECT_EQ(sched.now(), 10);  // never visited the cancelled deadline
 }
 
+TEST(EventQueueTest, SchedulingAfterASkippedCancelledEntryKeepsOrder) {
+  // The stale far-future timer entry is the last one popped, leaving the
+  // queue's lane at its deadline while now() stays at the cancel time;
+  // later spawns land behind that deadline and must still run in order.
+  Scheduler sched;
+  Timer timer(sched);
+  auto waiter = [](Timer& t) -> Process {
+    t.arm_in(seconds(100));
+    (void)co_await t.wait();
+  };
+  auto canceller = [](Scheduler& s, Timer& t) -> Process {
+    co_await s.delay(10);
+    t.cancel();
+  };
+  sched.spawn(waiter(timer));
+  sched.spawn(canceller(sched, timer));
+  sched.run();
+  ASSERT_EQ(sched.now(), 10);
+  std::vector<std::pair<Time, int>> log;
+  sched.spawn(record_at(sched, seconds(100) - 10, 0, log));
+  sched.spawn(record_at(sched, 5, 1, log));
+  sched.spawn(record_at(sched, 0, 2, log));
+  sched.run();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0], (std::pair<Time, int>{10, 2}));
+  EXPECT_EQ(log[1], (std::pair<Time, int>{15, 1}));
+  EXPECT_EQ(log[2], (std::pair<Time, int>{seconds(100), 0}));
+}
+
 TEST(EventQueueTest, TimerRearmReusesItsCancelSlot) {
   // Satellite fix: a timer must not grow the token pool on every re-arm.
   Scheduler sched;
@@ -232,9 +285,9 @@ TEST(EventQueueTest, ManyTimersShareReleasedSlots) {
 }
 
 TEST(EventQueueTest, RunUntilThenEarlierScheduleRebases) {
-  // run_until scans the cursor ahead of the last dispatched event; a
-  // subsequent spawn below the scanned position must still dispatch in
-  // order (exercises EventQueue::rebase).
+  // run_until leaves now() ahead of the last dispatched event (and of the
+  // lane's instant); a subsequent spawn below the far event must still
+  // dispatch in order.
   Scheduler sched;
   std::vector<std::pair<Time, int>> log;
   sched.spawn(record_at(sched, seconds(10), 0, log));

@@ -339,6 +339,47 @@ TEST(LpSchedulerTest, SingleLpWindowedRunMatchesSerialScheduler) {
   EXPECT_GT(engine.windows_executed(), 0u);
 }
 
+namespace stress {
+/// Each LP ticks once per lookahead, so every window holds one event per
+/// LP and runs the full worker round handshake.
+Process ticker(Scheduler& sched, std::uint64_t ticks, std::uint64_t* count) {
+  for (std::uint64_t i = 0; i < ticks; ++i) {
+    co_await sched.delay(kLookahead);
+    ++*count;
+  }
+}
+}  // namespace stress
+
+class LpSchedulerStressTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(LpSchedulerStressTest, BackToBackRoundsRunEachLpOncePerWindow) {
+  // Regression for the round handshake: a worker still inside the claim
+  // loop when a round completed could claim an LP of the next window
+  // before its cursor was reset, running that LP twice and leaving the
+  // coordinator waiting forever.  10^5 back-to-back rounds of 3 stealable
+  // LPs give that interleaving many chances to reappear.
+  constexpr std::uint64_t kTicks = 100'000;
+  constexpr std::size_t kLps = 3;
+  LpScheduler engine({kLookahead, GetParam()});
+  std::vector<std::uint64_t> count(kLps, 0);
+  for (std::size_t i = 0; i < kLps; ++i) {
+    Lp& lp = engine.add_lp();
+    lp.spawn(
+        [&, i] { return stress::ticker(lp.scheduler(), kTicks, &count[i]); });
+  }
+  const std::size_t events = engine.run();
+  EXPECT_EQ(count, std::vector<std::uint64_t>(kLps, kTicks));
+  EXPECT_EQ(events, kLps * (kTicks + 1));
+  EXPECT_EQ(engine.windows_executed(), kTicks + 1);
+  EXPECT_EQ(engine.lp_activations(), kLps * (kTicks + 1));
+  for (std::size_t i = 0; i < kLps; ++i)
+    EXPECT_EQ(engine.lp(static_cast<Lp::Id>(i)).scheduler().now(),
+              static_cast<Time>(kTicks) * kLookahead);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, LpSchedulerStressTest,
+                         ::testing::Values(2u, 4u, 8u, 16u));
+
 TEST(LpSchedulerTest, RunIsIdempotentAtQuiescence) {
   LpScheduler engine({kLookahead, 2});
   (void)engine.add_lp();
