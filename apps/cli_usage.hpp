@@ -23,11 +23,6 @@ inline constexpr char kUsageText[] =
     "  --admit-policy P    admission-queue order: fifo | wfq | priority\n"
     "  --admit-depth N     bounded admission queue depth; arrivals beyond it\n"
     "                      are shed (default 64)\n"
-    "  --engine MODE       DES executor: serial | parallel (the lookahead-\n"
-    "                      windowed LP engine; simulated results are\n"
-    "                      bit-identical either way — DESIGN.md section 9)\n"
-    "  --engine-threads N  parallel-engine threads (default 0 = one per\n"
-    "                      hardware thread)\n"
     "  --cache-size B      per-client write-back cache capacity (e.g. 64MiB;\n"
     "                      default 0 = caching off, byte-identical to\n"
     "                      direct dispatch)\n"

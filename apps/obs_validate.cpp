@@ -12,8 +12,8 @@
 ///
 /// --simulated-only (requires --metrics) additionally prints the manifest
 /// to stdout in canonical form — sorted keys, every "host."-prefixed
-/// member dropped.  host.* is the namespace for host-clock/thread-placement
-/// metrics (e.g. host.sched.pop_seconds, host.engine.steals), the only
+/// member dropped.  host.* is the namespace for host-clock and host-memory
+/// metrics (e.g. host.sched.pop_seconds, host.frame_pool.reused), the only
 /// nondeterministic manifest content; stripping it makes two runs of the
 /// same config byte-identical, so determinism checks are a plain `diff`:
 ///

@@ -148,10 +148,6 @@ int main(int argc, char** argv) {
       overrides.push_back("admit_policy = " + next_value("--admit-policy"));
     } else if (arg == "--admit-depth") {
       overrides.push_back("admit_depth = " + next_value("--admit-depth"));
-    } else if (arg == "--engine") {
-      overrides.push_back("engine = " + next_value("--engine"));
-    } else if (arg == "--engine-threads") {
-      overrides.push_back("engine_threads = " + next_value("--engine-threads"));
     } else if (arg == "--cache-size") {
       overrides.push_back("cache_capacity = " + next_value("--cache-size"));
     } else if (arg == "--cache-block") {

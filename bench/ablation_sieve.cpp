@@ -14,14 +14,10 @@
 /// per-window round trips and hole amplification lose to list I/O badly.
 /// The run fails (exit 1) unless sieving at its best buffer beats list
 /// I/O on the read-heavy shape — the acceptance gate of EXPERIMENTS.md.
-///
-/// `--engine-parallel` runs every point under the parallel LP engine with
-/// 2 threads (CI uses this to cross-check engine determinism on the CSV).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -57,8 +53,7 @@ struct Shape {
 };
 
 core::RunStats run_sieve_point(const Shape& shape, Method method,
-                               std::uint64_t buffer, bool quick,
-                               bool engine_parallel) {
+                               std::uint64_t buffer, bool quick) {
   auto config = core::paper_config();
   config.nprocs = quick ? 5 : 9;
   config.workload.query_count = quick ? 3 : 6;
@@ -86,10 +81,6 @@ core::RunStats run_sieve_point(const Shape& shape, Method method,
       config.hints.cb_buffer_size = buffer;
       break;
   }
-  if (engine_parallel) {
-    config.engine.mode = core::EngineMode::Parallel;
-    config.engine.threads = 2;
-  }
   auto stats = core::run_simulation(config);
   require_exact(stats);
   return stats;
@@ -100,9 +91,6 @@ core::RunStats run_sieve_point(const Shape& shape, Method method,
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   const unsigned jobs = sweep_jobs(argc, argv);
-  bool engine_parallel = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--engine-parallel") == 0) engine_parallel = true;
 
   const Shape shapes[] = {
       {"read-heavy", 32, 4 * util::KiB, 40, 80, 1},
@@ -113,24 +101,22 @@ int main(int argc, char** argv) {
                                            4 * util::MiB};
 
   std::printf("S3aSim Ablation N: read-path access methods — list I/O vs "
-              "data sieving vs two-phase%s\n",
-              engine_parallel ? " (parallel engine, 2 threads)" : "");
+              "data sieving vs two-phase\n");
 
   std::vector<SweepPoint> grid;
   for (const Shape& shape : shapes) {
     grid.push_back({std::string(shape.name) + " list",
-                    [&shape, quick, engine_parallel] {
-                      return run_sieve_point(shape, Method::List, 0, quick,
-                                             engine_parallel);
+                    [&shape, quick] {
+                      return run_sieve_point(shape, Method::List, 0, quick);
                     }});
     for (const Method method : {Method::Sieve, Method::TwoPhase})
       for (const std::uint64_t buffer : buffers)
         grid.push_back({std::string(shape.name) + " " + method_name(method) +
                             " buf=" + std::to_string(buffer / util::KiB) +
                             "KiB",
-                        [&shape, method, buffer, quick, engine_parallel] {
-                          return run_sieve_point(shape, method, buffer, quick,
-                                                 engine_parallel);
+                        [&shape, method, buffer, quick] {
+                          return run_sieve_point(shape, method, buffer,
+                                                 quick);
                         }});
   }
 

@@ -3,25 +3,23 @@
 /// WW-List, WW-Coll over 2–96 processes, both query-sync modes, plus the
 /// §4 headline ratios at 96 processes.
 ///
-/// --scale-out replaces the paper's 2–96 grid with the extrapolation the
-/// parallel engine exists for: all seven strategies at 1024 and 4096
-/// simulated ranks via the native-LP scale model (core/scale_model.hpp),
-/// against the same fixed 16-server I/O subsystem.  The resulting
-/// strategy-survival table (EXPERIMENTS.md, Ablation M) shows which
-/// strategies' makespans hold as the compute side grows 40x beyond the
-/// largest cluster the paper measured.
+/// --scale-out replaces the paper's 2–96 grid with all eight strategies at
+/// 1024 and 4096 simulated ranks on the same model and workload, against
+/// the same fixed 16-server I/O subsystem; the fragment count grows to
+/// nprocs − 1 so every worker searches.  The resulting strategy-survival
+/// table (EXPERIMENTS.md, Ablation M) shows which strategies' makespans
+/// hold as the compute side grows 40x beyond the largest cluster the paper
+/// measured.  Like the default grid it runs through the sweep harness, so
+/// `--jobs N` parallelizes it without changing a byte of its CSV.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "bench/sweep.hpp"
-#include "core/scale_model.hpp"
 #include "core/simulation.hpp"
 #include "obs/metrics.hpp"
 #include "util/csv.hpp"
@@ -32,53 +30,71 @@ using namespace s3asim::bench;
 
 namespace {
 
-int run_scale_out() {
-  const std::vector<std::uint32_t> ranks{1024, 4096};
-  const std::vector<core::Strategy> strategies(
-      std::begin(core::kAllStrategies), std::end(core::kAllStrategies));
-  const unsigned threads =
-      std::clamp(std::thread::hardware_concurrency(), 1u, 8u);
+int run_scale_out(unsigned jobs) {
+  const std::uint32_t ranks[] = {1024, 4096};
+  const core::SimConfig base = core::paper_config();
 
   std::printf(
       "S3aSim Figure 2 (--scale-out): simulated makespan at 1024/4096 ranks\n"
-      "scale model: 16 I/O servers, 4 queries, Myrinet-2000 link, "
-      "engine threads=%u (results are thread-count independent)\n",
-      threads);
+      "workload: %u queries x (nprocs - 1) fragments, %u I/O servers, "
+      "no-sync\n",
+      base.workload.query_count, base.model.pfs.layout.server_count());
+
+  // Flat grid in (strategy, nprocs) order, as in the default figure.
+  std::vector<SweepPoint> grid;
+  for (const auto strategy : core::kAllStrategies) {
+    for (const auto nprocs : ranks) {
+      grid.push_back({std::string(core::strategy_name(strategy)) + " n=" +
+                          std::to_string(nprocs),
+                      [base, strategy, nprocs] {
+                        core::SimConfig config = base;
+                        config.strategy = strategy;
+                        config.nprocs = nprocs;
+                        config.workload.fragment_count = nprocs - 1;
+                        core::RunStats stats = core::run_simulation(config);
+                        require_exact(stats);
+                        return stats;
+                      }});
+    }
+  }
+  const auto sweep_start = std::chrono::steady_clock::now();
+  const auto results = run_sweep(std::move(grid), jobs);
+  const double sweep_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    sweep_start)
+          .count();
 
   util::TextTable table({"Strategy", "1024 ranks (s)", "4096 ranks (s)",
                          "growth (x)"});
-  util::CsvWriter csv(csv_path("fig2_scale_out.csv"));
-  csv.write_row({"strategy", "ranks", "makespan_seconds", "events",
-                 "cross_lp_messages"});
-  for (const auto strategy : strategies) {
-    std::vector<double> makespans;
-    for (const auto nprocs : ranks) {
-      core::ScaleConfig config;
-      config.nprocs = nprocs;
-      config.strategy = strategy;
-      const core::ScaleStats stats = run_scale_model(config, threads);
-      makespans.push_back(stats.makespan_seconds);
-      csv.write_row({std::string(core::strategy_name(strategy)),
-                     std::to_string(nprocs),
-                     std::to_string(stats.makespan_seconds),
-                     std::to_string(stats.events),
-                     std::to_string(stats.cross_lp_messages)});
-    }
-    table.add_row_numeric(core::strategy_name(strategy),
-                          {makespans[0], makespans[1],
-                           makespans[1] / makespans[0]});
+  const std::string csv_file = csv_path("fig2_scale_out.csv");
+  util::CsvWriter csv(csv_file);
+  csv.write_row({"strategy", "ranks", "makespan_seconds", "events"});
+  for (std::size_t i = 0; i < results.size(); i += 2) {
+    const core::RunStats& small = results[i].stats;
+    const core::RunStats& large = results[i + 1].stats;
+    for (const core::RunStats* stats : {&small, &large})
+      csv.write_row({std::string(core::strategy_name(stats->strategy)),
+                     std::to_string(stats->nprocs),
+                     std::to_string(stats->wall_seconds),
+                     std::to_string(stats->events)});
+    table.add_row_numeric(core::strategy_name(small.strategy),
+                          {small.wall_seconds, large.wall_seconds,
+                           large.wall_seconds / small.wall_seconds});
   }
-  std::printf("%s(csv: results/fig2_scale_out.csv)\n", table.render().c_str());
+  std::printf("%s(csv: %s)\n", table.render().c_str(), csv_file.c_str());
+  const auto report = write_bench_json("fig2_scale_out", false, jobs, results,
+                                       sweep_seconds);
+  std::printf("(bench json: %s)\n", report.c_str());
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--scale-out") == 0) return run_scale_out();
-  const bool quick = quick_mode(argc, argv);
   const unsigned jobs = sweep_jobs(argc, argv);
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--scale-out") == 0) return run_scale_out(jobs);
+  const bool quick = quick_mode(argc, argv);
   const auto procs = paper_proc_counts(quick);
   const auto& strategies = paper_strategies();
 

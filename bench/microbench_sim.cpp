@@ -12,7 +12,6 @@
 #include "net/network.hpp"
 #include "sim/barrier.hpp"
 #include "sim/channel.hpp"
-#include "sim/lp_scheduler.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/task.hpp"
@@ -221,72 +220,6 @@ void BM_NetworkTransfers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * transfers);
 }
 BENCHMARK(BM_NetworkTransfers)->Arg(10'000);
-
-// Parallel-engine frame-pool locality at scale: 1 k LPs, each churning a
-// child Task per step across many windows.  The per-LP pools mean every
-// step after an LP's first is served from its own free lists regardless of
-// which worker thread runs the window, so the reported `pool_hit_rate`
-// (reused / total pooled allocations, summed over all LP pools) must sit
-// near 1.0 — a drop is a pool-migration regression in the engine.
-void BM_LpEnginePoolHitRate(benchmark::State& state) {
-  const auto lps = static_cast<std::uint32_t>(state.range(0));
-  constexpr int kSteps = 32;
-  constexpr sim::Time kLookahead = 1'000;
-  std::uint64_t allocations = 0;
-  std::uint64_t reused = 0;
-  for (auto _ : state) {
-    sim::LpScheduler engine({kLookahead, /*threads=*/2});
-    auto child = [](sim::Scheduler& s) -> sim::Task<int> {
-      co_await s.delay(1);
-      co_return 1;
-    };
-    auto proc = [&child](sim::Scheduler& s, std::uint32_t id) -> Process {
-      for (int i = 0; i < kSteps; ++i) {
-        (void)co_await child(s);
-        co_await s.delay(kLookahead + id % 7);  // spread across windows
-      }
-    };
-    for (std::uint32_t id = 0; id < lps; ++id) {
-      sim::Lp& lp = engine.add_lp();
-      lp.spawn([&] { return proc(lp.scheduler(), id); });
-    }
-    benchmark::DoNotOptimize(engine.run());
-    for (std::uint32_t id = 0; id < lps; ++id) {
-      allocations += engine.lp(id).frame_pool().allocations();
-      reused += engine.lp(id).frame_pool().reused();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * lps * kSteps);
-  state.counters["pool_hit_rate"] =
-      allocations == 0 ? 0.0
-                       : static_cast<double>(reused) /
-                             static_cast<double>(allocations);
-}
-BENCHMARK(BM_LpEnginePoolHitRate)->Arg(1'024);
-
-// Window throughput of the parallel engine itself: same 1 k-LP shape,
-// measuring resumptions/second through the claim/steal/barrier machinery.
-void BM_LpEngineWindowThroughput(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
-  constexpr std::uint32_t kLps = 1'024;
-  constexpr int kSteps = 16;
-  constexpr sim::Time kLookahead = 1'000;
-  for (auto _ : state) {
-    sim::LpScheduler engine({kLookahead, threads});
-    auto proc = [](sim::Scheduler& s, std::uint32_t) -> Process {
-      // Land every event on the window grid so the whole cohort is active
-      // each window — the engine's intended dense regime.
-      for (int i = 0; i < kSteps; ++i) co_await s.delay(kLookahead);
-    };
-    for (std::uint32_t id = 0; id < kLps; ++id) {
-      sim::Lp& lp = engine.add_lp();
-      lp.spawn([&] { return proc(lp.scheduler(), id); });
-    }
-    benchmark::DoNotOptimize(engine.run());
-  }
-  state.SetItemsProcessed(state.iterations() * kLps * kSteps);
-}
-BENCHMARK(BM_LpEngineWindowThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_MpiSendRecvPairs(benchmark::State& state) {
   const auto messages = static_cast<int>(state.range(0));

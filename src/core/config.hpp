@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -173,27 +172,6 @@ struct MembershipConfig {
   }
 };
 
-/// Which DES executor runs the event loop (DESIGN.md §9).
-enum class EngineMode {
-  Serial,    ///< the single-threaded scheduler (every prior release)
-  Parallel,  ///< lookahead-windowed LP executor (sim::LpScheduler); results
-             ///< are bit-identical to serial for any thread count
-};
-
-/// Execution-engine selection (`engine` / `engine_threads` config keys,
-/// `--engine` / `--engine-threads` CLI flags).
-struct EngineConfig {
-  EngineMode mode = EngineMode::Serial;
-  /// Worker threads for the parallel engine; 0 = one per hardware thread.
-  std::uint32_t threads = 0;
-
-  [[nodiscard]] std::uint32_t resolved_threads() const {
-    if (threads != 0) return threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-  }
-};
-
 /// Hardware / substrate cost model (see DESIGN.md §4 for calibration).
 struct ModelParams {
   net::LinkParams network = net::LinkParams::myrinet2000();
@@ -271,10 +249,6 @@ struct SimConfig {
   /// (query, fragment) tasks are reassigned.  Only consulted when the fault
   /// plan perturbs workers.
   sim::Time fault_detection_timeout = sim::seconds(10);
-  /// DES executor: serial (default) or the lookahead-windowed parallel
-  /// engine.  Simulated results are bit-identical either way — the choice
-  /// only affects host wall clock (DESIGN.md §9).
-  EngineConfig engine{};
   /// Open-loop serving workload (disabled by default: closed batch).
   ServingConfig serving{};
   /// Cluster membership: speed classes, scheduled joins, elastic

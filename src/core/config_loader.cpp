@@ -12,13 +12,6 @@ namespace s3asim::core {
 
 namespace {
 
-EngineMode parse_engine(const std::string& name) {
-  if (name == "serial") return EngineMode::Serial;
-  if (name == "parallel") return EngineMode::Parallel;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (expected 'serial' or 'parallel')");
-}
-
 mpiio::CollectiveAlgorithm parse_collective(const std::string& name) {
   if (name == "two_phase" || name == "two-phase")
     return mpiio::CollectiveAlgorithm::TwoPhase;
@@ -66,16 +59,6 @@ SimConfig load_config(const std::string& config_text) {
     throw std::invalid_argument(
         "aggregator_fanin must be non-negative (0 = one group per run)");
   config.aggregator_fanin = static_cast<std::uint32_t>(fanin);
-
-  // --- Engine. ------------------------------------------------------------
-  if (keyval.has("engine"))
-    config.engine.mode = parse_engine(keyval.get_string("engine", ""));
-  const std::int64_t engine_threads =
-      keyval.get_int("engine_threads", config.engine.threads);
-  if (engine_threads < 0 || engine_threads > 256)
-    throw std::invalid_argument(
-        "engine_threads must be in 0..256 (0 = one per hardware thread)");
-  config.engine.threads = static_cast<std::uint32_t>(engine_threads);
 
   // --- Workload. --------------------------------------------------------------
   auto& workload = config.workload;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/strategies/registry.hpp"
-#include "sim/lp_scheduler.hpp"
 
 namespace s3asim::core {
 
@@ -142,16 +141,6 @@ void launch_group(App& app) {
       }
     }
   }
-}
-
-std::size_t run_world(World& world) {
-  if (world.config.engine.mode == EngineMode::Serial)
-    return world.scheduler.run();
-  sim::LpScheduler engine(sim::LpScheduler::Options{
-      world.network.lookahead(), world.config.engine.resolved_threads()});
-  engine.attach_metrics(world.metrics);
-  engine.adopt_lp(world.scheduler);
-  return engine.run();
 }
 
 /// Masters are single points of failure by design (the paper's model), and

@@ -266,22 +266,6 @@ sim::Process worker_reaper(App& app, mpi::Rank rank, sim::Time kill_at,
 /// per-worker reapers and failure detectors.
 void launch_group(App& app);
 
-/// Runs the world's event loop to quiescence under the configured engine
-/// (`config.engine`): serial mode calls `scheduler.run()` directly;
-/// parallel mode executes the same scheduler through `sim::LpScheduler`'s
-/// lookahead windows, which retires events in the identical (time, seq)
-/// order — bit-identical results by construction.
-///
-/// Process→LP assignment: the full S3aSim model forms a *single* cluster
-/// LP today.  The mpi/pfs capability layer shares state across ranks at
-/// zero simulated offset (a send's Request completes at delivery time and
-/// wakes the sender, a PFS server's Gate open wakes its client in the same
-/// instant, the scratch pool and FileImage are shared), so no cut along
-/// rank boundaries satisfies the engine's lookahead contract.  Models
-/// built natively on LPs (core/scale_model.hpp) partition per rank/server
-/// and are where multi-threaded windows pay off; see DESIGN.md §9.
-std::size_t run_world(World& world);
-
 /// Rejects fault plans that name ranks outside the worker set, and
 /// strategy/fault combinations that cannot make progress.  Called before
 /// the World is built — spawned server processes would outlive a throwing

@@ -59,9 +59,9 @@ RunStats run_simulation(const SimConfig& config, const Observability& observe) {
   groups.back()->trace_log = observe.trace_log;
   launch_group(*groups.back());
 
-  run_world(world);
+  world.scheduler.run();
   world.fs.shutdown();
-  run_world(world);
+  world.scheduler.run();
   S3A_CHECK_MSG(world.scheduler.live_processes() == 0,
                 "simulation did not quiesce");
   return collect_stats(world, groups);
@@ -129,9 +129,9 @@ ResumeOutcome run_with_resume(const SimConfig& config,
     groups.push_back(std::make_unique<App>(world, 0, std::move(workers),
                                            std::move(queries)));
     launch_group(*groups.back());
-    run_world(world);
+    world.scheduler.run();
     world.fs.shutdown();
-    run_world(world);
+    world.scheduler.run();
     S3A_CHECK_MSG(world.scheduler.live_processes() == 0,
                   "resumed simulation did not quiesce");
     outcome.resumed = collect_stats(world, groups);
@@ -186,9 +186,9 @@ RunStats run_hybrid_simulation(const SimConfig& config, std::uint32_t groups,
   }
   for (const auto& app : apps) launch_group(*app);
 
-  run_world(world);
+  world.scheduler.run();
   world.fs.shutdown();
-  run_world(world);
+  world.scheduler.run();
   S3A_CHECK_MSG(world.scheduler.live_processes() == 0,
                 "hybrid simulation did not quiesce");
   return collect_stats(world, apps);

@@ -56,14 +56,6 @@ class Network {
   }
   [[nodiscard]] const LinkParams& params() const noexcept { return params_; }
 
-  /// The network's lookahead: the guaranteed minimum simulated delay of any
-  /// cross-endpoint interaction (pure wire latency — overhead and
-  /// serialization only add to it).  This is the window width the
-  /// conservative parallel engine (sim::LpScheduler) partitions execution
-  /// by; a zero-latency network has no usable lookahead and only the
-  /// serial engine can run it.
-  [[nodiscard]] sim::Time lookahead() const noexcept { return params_.latency; }
-
   /// Simulates moving `bytes` from `src` to `dst`; completes when the last
   /// byte has been ejected at the receiver.  Self-sends skip the wire but
   /// still pay the software overhead once.

@@ -9,20 +9,11 @@
 /// carved from large slabs: a hit is a pointer pop, a release is a pointer
 /// push, and slab memory is retained for reuse until thread exit.
 ///
-/// The pool is *thread-local by default*: a scheduler runs on exactly one
-/// thread, and a simulation allocates and frees all of its frames on that
-/// thread, so no synchronization is needed — which is what keeps concurrent
-/// sweep workers (bench::SweepRunner) scalable.  Frames must be freed by
-/// the pool that allocated them; the single-threaded `Scheduler` guarantees
-/// this for the default pool.
-///
-/// The parallel engine migrates a logical partition (LP) between worker
-/// threads across windows, so an LP's frames cannot live in any one
-/// thread's pool.  `FramePool::Scope` reroutes `local()` to an LP-owned
-/// pool for the duration of the LP's window: the LP runs on exactly one
-/// thread at a time and the engine's window barrier provides the
-/// happens-before edge between windows, so the pool still never needs
-/// synchronization.
+/// The pool is *thread-local*: a scheduler runs on exactly one thread, and a
+/// simulation allocates and frees all of its frames on that thread, so no
+/// synchronization is needed — which is what keeps concurrent sweep workers
+/// (bench::SweepRunner) scalable.  Frames must be freed on the thread that
+/// allocated them; the single-threaded `Scheduler` guarantees this.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,31 +40,12 @@ class FramePool {
     for (std::byte* slab : slabs_) ::operator delete[](slab);
   }
 
-  /// The calling thread's pool: the innermost installed `Scope`'s pool, or
-  /// the thread's default pool (created on first use, destroyed — slabs
-  /// released — at thread exit).
+  /// The calling thread's pool.  Created on first use, destroyed (slabs
+  /// released) at thread exit.
   static FramePool& local() noexcept {
-    if (FramePool* installed = current_slot()) return *installed;
     static thread_local FramePool pool;
     return pool;
   }
-
-  /// RAII install: routes this thread's `FramePool::local()` to `pool`
-  /// for the scope's lifetime (nestable; restores the previous routing on
-  /// destruction).  The caller must guarantee the installed pool is used
-  /// by one thread at a time — the engine's window barrier does.
-  class Scope {
-   public:
-    explicit Scope(FramePool& pool) noexcept : previous_(current_slot()) {
-      current_slot() = &pool;
-    }
-    ~Scope() { current_slot() = previous_; }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    FramePool* previous_;
-  };
 
   void* allocate(std::size_t size) {
     if (size > kMaxPooled) {
@@ -122,12 +94,6 @@ class FramePool {
   }
 
  private:
-  /// The thread's current Scope target (null = default thread-local pool).
-  static FramePool*& current_slot() noexcept {
-    static thread_local FramePool* current = nullptr;
-    return current;
-  }
-
   struct FreeBlock {
     FreeBlock* next;
   };

@@ -46,25 +46,6 @@ std::size_t Scheduler::run_until(Time deadline) {
   return resumed;
 }
 
-std::size_t Scheduler::run_window(Time end) {
-  std::size_t resumed = 0;
-  while (!queue_.empty() && queue_.top().at < end) {
-    const Event event = queue_.pop_next();
-    if (cancelled(event)) continue;  // dead timer entry
-    now_ = event.at;
-    event.handle.resume();
-    ++resumed;
-    if (prof_every_ != 0 && --prof_countdown_ == 0) profile_sample();
-    if (first_error_) {
-      events_ += resumed;
-      auto error = std::exchange(first_error_, nullptr);
-      std::rethrow_exception(error);
-    }
-  }
-  events_ += resumed;
-  return resumed;
-}
-
 void Scheduler::attach_profiler(obs::Registry* registry,
                                 std::uint64_t sample_every) {
   if (registry == nullptr) {
@@ -80,12 +61,13 @@ void Scheduler::attach_profiler(obs::Registry* registry,
   prof_countdown_ = sample_every;
   // Resolve the metric objects once; samples are then map-lookup-free.
   prof_queue_depth_ = &registry->histogram("sim.sched.queue_depth");
-  // Host-clock latency lives under host.* so `obs_validate
-  // --simulated-only` can strip it and leave an exactly-diffable manifest.
+  // Host-clock latency and the thread-local frame pool (whose counters span
+  // every run on the thread) live under host.* so `obs_validate
+  // --simulated-only` can strip them and leave an exactly-diffable manifest.
   prof_pop_seconds_ = &registry->histogram("host.sched.pop_seconds");
-  prof_pool_live_ = &registry->gauge("sim.frame_pool.live");
-  prof_pool_reused_ = &registry->gauge("sim.frame_pool.reused");
-  prof_pool_slab_bytes_ = &registry->gauge("sim.frame_pool.slab_bytes");
+  prof_pool_live_ = &registry->gauge("host.frame_pool.live");
+  prof_pool_reused_ = &registry->gauge("host.frame_pool.reused");
+  prof_pool_slab_bytes_ = &registry->gauge("host.frame_pool.slab_bytes");
   prof_samples_ = &registry->counter("sim.sched.profile_samples");
   prof_last_ = std::chrono::steady_clock::now();
 }

@@ -122,25 +122,7 @@ class Scheduler {
   /// `deadline`; events after the deadline stay queued.
   std::size_t run_until(Time deadline);
 
-  /// Runs every event strictly before `end`; events at or after `end` stay
-  /// queued and `now()` is left at the last retired event (never advanced
-  /// to `end`).  This is the parallel engine's window primitive: executing
-  /// one scheduler through a sequence of abutting windows retires events
-  /// in exactly the same (time, seq) order as a single `run()`, so a
-  /// windowed run is bit-identical to a serial one by construction.
-  std::size_t run_window(Time end);
-
-  /// Timestamp of the earliest queued event (cancelled timer entries
-  /// included — they are discarded on pop without advancing time, so using
-  /// their timestamp for window planning costs at most an empty window).
-  /// Requires has_pending().
-  [[nodiscard]] Time next_event_time() { return queue_.top().at; }
-
   [[nodiscard]] bool has_pending() const noexcept { return !queue_.empty(); }
-  /// Queued (not yet retired) events, cancelled entries included.
-  [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return queue_.size();
-  }
   [[nodiscard]] std::size_t live_processes() const noexcept { return live_; }
   [[nodiscard]] std::size_t finished_processes() const noexcept { return finished_; }
 
@@ -151,11 +133,13 @@ class Scheduler {
   }
 
   /// Arms the DES-kernel profiler: every `sample_every` resumptions the run
-  /// loop records the event-queue depth and frame-pool occupancy under the
-  /// "sim.sched.*" / "sim.frame_pool.*" names, and the host-clock per-event
-  /// pop latency under "host.sched.pop_seconds" — the host.* namespace
-  /// marks the one nondeterministic manifest field, which `obs_validate
-  /// --simulated-only` strips for exact diffs (docs/OBSERVABILITY.md).
+  /// loop records the event-queue depth under "sim.sched.queue_depth", and
+  /// the host-clock per-event pop latency and the thread's frame-pool
+  /// occupancy under "host.sched.pop_seconds" / "host.frame_pool.*".  The
+  /// host.* namespace marks the nondeterministic manifest fields, which
+  /// `obs_validate --simulated-only` strips for exact diffs
+  /// (docs/OBSERVABILITY.md): the pool is thread-local, so its counters
+  /// accumulate over every run on the thread.
   /// Samples read host time only — simulated time and event order are
   /// untouched, so profiled runs stay bit-identical.  When detached
   /// (default) the run loop pays a single predicted-not-taken branch per

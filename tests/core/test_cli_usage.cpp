@@ -16,9 +16,8 @@ namespace {
 const char* const kExpectedFlags[] = {
     "--procs",         "--strategy",       "--sync",
     "--speed",         "--arrival-rate",   "--arrival-trace",
-    "--admit-policy",  "--admit-depth",    "--engine",
-    "--engine-threads", "--cache-size",    "--cache-block",
-    "--token-granularity",
+    "--admit-policy",  "--admit-depth",    "--cache-size",
+    "--cache-block",   "--token-granularity",
     "--worker-classes", "--joins",         "--elastic",
     "--min-workers",   "--autoscale-target",
     "--read-method",   "--sieve-buffer",
@@ -77,7 +76,6 @@ TEST(CliUsageTest, GoldenText) {
   EXPECT_NE(text.find("crash => resume-from-flush"), std::string::npos);
   EXPECT_NE(text.find("default 0 = closed batch"), std::string::npos);
   EXPECT_NE(text.find("fifo | wfq | priority"), std::string::npos);
-  EXPECT_NE(text.find("serial | parallel"), std::string::npos);
   EXPECT_NE(text.find("--cache-size B      per-client write-back cache"),
             std::string::npos);
   EXPECT_NE(text.find("byte-range lease granularity"), std::string::npos);

@@ -280,25 +280,6 @@ TEST(ConfigLoaderTest, BadServingKeysRejected) {
                std::invalid_argument);
 }
 
-TEST(ConfigLoaderTest, EngineKeysParse) {
-  EXPECT_EQ(load_config("").engine.mode, EngineMode::Serial);
-  EXPECT_EQ(load_config("engine = serial\n").engine.mode, EngineMode::Serial);
-  const auto parallel = load_config("engine = parallel\nengine_threads = 4\n");
-  EXPECT_EQ(parallel.engine.mode, EngineMode::Parallel);
-  EXPECT_EQ(parallel.engine.threads, 4u);
-  EXPECT_EQ(parallel.engine.resolved_threads(), 4u);
-  // threads = 0 defers to the host's hardware concurrency.
-  EXPECT_GE(load_config("engine = parallel\n").engine.resolved_threads(), 1u);
-}
-
-TEST(ConfigLoaderTest, BadEngineKeysRejected) {
-  EXPECT_THROW((void)load_config("engine = turbo\n"), std::invalid_argument);
-  EXPECT_THROW((void)load_config("engine_threads = -1\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)load_config("engine_threads = 257\n"),
-               std::invalid_argument);
-}
-
 TEST(ConfigLoaderTest, CacheKeysApply) {
   const auto config = load_config(
       "strip_size = 64KiB\ncache_capacity = 16MiB\ncache_block = 16KiB\n"

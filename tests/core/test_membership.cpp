@@ -1,17 +1,17 @@
-/// Membership tests (ISSUE 10): WorkerRegistry lifecycle properties,
-/// join-mid-run determinism across executors, elastic autoscaling, the
-/// elastic × fault composition, and the speed-class heterogeneity model.
+/// Membership tests: WorkerRegistry lifecycle properties, join-mid-run
+/// determinism across threads, elastic autoscaling, the elastic × fault
+/// composition, and the speed-class heterogeneity model.
 
 #include "core/membership.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/scale_model.hpp"
 #include "core/simulation.hpp"
 #include "core/stats.hpp"
 #include "fault/fault.hpp"
@@ -30,11 +30,12 @@ std::vector<s3asim::mpi::Rank> workers_of(std::uint32_t nprocs) {
   return workers;
 }
 
-SimConfig with_engine(SimConfig config, EngineMode mode,
-                      std::uint32_t threads) {
-  config.engine.mode = mode;
-  config.engine.threads = threads;
-  return config;
+/// The run's stats rendered on a new thread: a fresh thread-local frame
+/// pool and no host state shared with the calling thread.
+std::string json_on_thread(const SimConfig& config) {
+  return std::async(std::launch::async,
+                    [&config] { return run_simulation(config).to_json(); })
+      .get();
 }
 
 // ---------------------------------------------------------------------------
@@ -211,8 +212,8 @@ TEST(MembershipParseTest, JoinSpecAcceptsClassOverride) {
 
 // ---------------------------------------------------------------------------
 // Join-mid-run determinism: one scheduled joiner, identical statistics on
-// the serial scheduler, concurrent replicas (the --jobs path), and the
-// parallel engine at 2 and 4 threads.
+// the calling thread, concurrent replicas (the --jobs path), and a fresh
+// thread.
 // ---------------------------------------------------------------------------
 
 SimConfig join_config() {
@@ -221,7 +222,7 @@ SimConfig join_config() {
   return config;
 }
 
-TEST(MembershipDeterminismTest, ScheduledJoinIdenticalAcrossExecutors) {
+TEST(MembershipDeterminismTest, ScheduledJoinIdenticalAcrossThreads) {
   const auto config = join_config();
   const std::string serial = run_simulation(config).to_json();
 
@@ -232,13 +233,7 @@ TEST(MembershipDeterminismTest, ScheduledJoinIdenticalAcrossExecutors) {
   concurrent.join();
   EXPECT_EQ(serial, mine);
   EXPECT_EQ(serial, replica);
-
-  for (const std::uint32_t threads : {2u, 4u}) {
-    const std::string parallel =
-        run_simulation(with_engine(config, EngineMode::Parallel, threads))
-            .to_json();
-    EXPECT_EQ(serial, parallel) << "parallel engine x" << threads;
-  }
+  EXPECT_EQ(serial, json_on_thread(config));
 }
 
 TEST(MembershipTest, ScheduledJoinerParticipatesAndVerifies) {
@@ -269,7 +264,7 @@ TEST(MembershipTest, JoinerStagesItsFragmentUnderDatabaseIo) {
 // ---------------------------------------------------------------------------
 // Elastic serving: the autoscaler grows from min_workers and drains back;
 // outstanding work always completes (drain-on-request), and the run stays
-// deterministic across executors.
+// deterministic across threads.
 // ---------------------------------------------------------------------------
 
 SimConfig elastic_config() {
@@ -301,13 +296,7 @@ TEST(ElasticTest, AutoscalerGrowsAndDrainsDeterministically) {
   EXPECT_LT(stats.membership.worker_seconds,
             stats.wall_seconds * stats.membership.peak_active);
 
-  const std::string serial = stats.to_json();
-  for (const std::uint32_t threads : {2u, 4u}) {
-    const std::string parallel =
-        run_simulation(with_engine(config, EngineMode::Parallel, threads))
-            .to_json();
-    EXPECT_EQ(serial, parallel) << "parallel engine x" << threads;
-  }
+  EXPECT_EQ(stats.to_json(), json_on_thread(config));
 }
 
 TEST(ElasticTest, GoldenElasticRow) {
@@ -404,73 +393,15 @@ TEST(SpeedClassTest, SpeedAwareDispatchBeatsBlindOnMakespan) {
   EXPECT_LE(aware_stats.wall_seconds, blind_stats.wall_seconds * 1.005);
 }
 
-TEST(SpeedClassTest, HeterogeneousRunIdenticalAcrossExecutors) {
+TEST(SpeedClassTest, HeterogeneousRunIdenticalAcrossThreads) {
   const auto config = heterogeneous_config();
-  const std::string serial = run_simulation(config).to_json();
-  for (const std::uint32_t threads : {2u, 4u}) {
-    const std::string parallel =
-        run_simulation(with_engine(config, EngineMode::Parallel, threads))
-            .to_json();
-    EXPECT_EQ(serial, parallel) << "parallel engine x" << threads;
-  }
+  EXPECT_EQ(run_simulation(config).to_json(), json_on_thread(config));
 }
 
 TEST(SpeedClassTest, HomogeneousRunEmitsNoMembershipBlock) {
   const auto stats = run_simulation(test_config());
   EXPECT_FALSE(stats.membership.enabled);
   EXPECT_EQ(stats.to_json().find("\"membership\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Scale model: potential workers exist as LPs regardless of join time, and
-// class speeds / joins keep the cross-thread bit-identity contract.
-// ---------------------------------------------------------------------------
-
-ScaleConfig scale_config() {
-  ScaleConfig config;
-  config.nprocs = 33;
-  config.servers = 4;
-  config.queries = 2;
-  config.score_rounds_per_slice = 50;
-  return config;
-}
-
-TEST(ScaleMembershipTest, ClassSpeedsAndJoinsBitIdenticalAcrossThreads) {
-  auto config = scale_config();
-  config.class_speeds = {1.0, 1.0, 4.0};
-  config.join_times.assign(config.workers(), 0);
-  config.join_times[4] = sim::milliseconds(30);
-  config.join_times[9] = sim::milliseconds(60);
-  const ScaleStats serial = run_scale_model(config, 1);
-  for (const unsigned threads : {2u, 4u}) {
-    const ScaleStats parallel = run_scale_model(config, threads);
-    EXPECT_EQ(serial.to_json(), parallel.to_json()) << "threads " << threads;
-  }
-  EXPECT_GT(serial.fingerprint, 0u);
-}
-
-TEST(ScaleMembershipTest, JoinDelayLengthensMakespan) {
-  auto config = scale_config();
-  const ScaleStats base = run_scale_model(config, 1);
-  config.join_times.assign(config.workers(), 0);
-  config.join_times[0] = sim::milliseconds(200);
-  const ScaleStats delayed = run_scale_model(config, 1);
-  EXPECT_GT(delayed.makespan_seconds, base.makespan_seconds);
-  EXPECT_EQ(delayed.total_result_bytes, base.total_result_bytes);
-}
-
-TEST(ScaleMembershipTest, HomogeneousClassListIsIdentity) {
-  auto config = scale_config();
-  const ScaleStats base = run_scale_model(config, 1);
-  config.class_speeds = {1.0, 1.0};  // speed 1.0 divides are skipped
-  const ScaleStats classed = run_scale_model(config, 1);
-  EXPECT_EQ(base.to_json(), classed.to_json());
-}
-
-TEST(ScaleMembershipTest, NonPositiveClassSpeedRejected) {
-  auto config = scale_config();
-  config.class_speeds = {1.0, 0.0};
-  EXPECT_THROW((void)run_scale_model(config, 1), std::exception);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 /// Cache-enabled byte-identity suite: with the client-side write-back
 /// cache on (DESIGN.md §10), the simulated results must stay bit-identical
-/// across every execution engine — serial scheduler, `--jobs N` sweep
-/// parallelism, and the parallel DES engine at several thread counts.
-/// Lease grants, revocation round trips, and flush-behind evictions all
-/// ride the simulated clock, so no host interleaving may leak through.
+/// across threads — a run repeated on a new thread, concurrent runs, and
+/// `--jobs N` sweep parallelism.  Lease grants, revocation round trips,
+/// and flush-behind evictions all ride the simulated clock, so no host
+/// interleaving may leak through.
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,6 @@
 namespace {
 
 using namespace s3asim;
-using core::EngineMode;
 using core::SimConfig;
 using core::Strategy;
 
@@ -40,52 +40,45 @@ SimConfig cached_config(Strategy strategy,
   return config;
 }
 
-SimConfig with_engine(SimConfig config, EngineMode mode, unsigned threads) {
-  config.engine.mode = mode;
-  config.engine.threads = threads;
-  return config;
+std::string stats_json(const SimConfig& config) {
+  return core::run_simulation(config).to_json();
 }
 
-std::string serial_json(const SimConfig& config) {
-  return core::run_simulation(with_engine(config, EngineMode::Serial, 0))
-      .to_json();
+/// The run's stats rendered on a new thread: a fresh thread-local frame
+/// pool and no host state shared with the calling thread.
+std::string json_on_thread(const SimConfig& config) {
+  return std::async(std::launch::async,
+                    [&config] { return stats_json(config); })
+      .get();
 }
 
-std::string parallel_json(const SimConfig& config, unsigned threads) {
-  return core::run_simulation(
-             with_engine(config, EngineMode::Parallel, threads))
-      .to_json();
-}
-
-TEST(CacheIdentityTest, ParallelEngineMatchesSerialAcrossThreadCounts) {
+TEST(CacheIdentityTest, NewThreadMatchesAcrossStrategies) {
   for (const Strategy strategy : kCacheStrategies) {
     const SimConfig config = cached_config(strategy);
-    const std::string baseline = serial_json(config);
-    for (const unsigned threads : {2u, 4u})
-      EXPECT_EQ(parallel_json(config, threads), baseline)
-          << core::strategy_name(strategy) << " at " << threads << " threads";
+    EXPECT_EQ(json_on_thread(config), stats_json(config))
+        << core::strategy_name(strategy);
   }
 }
 
 TEST(CacheIdentityTest, TinyCapacityEvictionPressureMatches) {
   // A cache small enough to force flush-behind evictions mid-run is the
   // hardest case: eviction order depends on LRU state that must evolve
-  // identically under any engine.
+  // identically on any thread.
   for (const Strategy strategy : kCacheStrategies) {
     const SimConfig config =
         cached_config(strategy, /*capacity=*/32 * util::KiB);
-    EXPECT_EQ(parallel_json(config, 4), serial_json(config))
+    EXPECT_EQ(json_on_thread(config), stats_json(config))
         << core::strategy_name(strategy);
   }
 }
 
 TEST(CacheIdentityTest, SyncAfterWriteMatches) {
   // sync_after_write flushes the cache after every write burst; the
-  // flush/lease interleaving must still be engine-invariant.
+  // flush/lease interleaving must still be thread-invariant.
   for (const Strategy strategy : kCacheStrategies) {
     SimConfig config = cached_config(strategy);
     config.sync_after_write = true;
-    EXPECT_EQ(parallel_json(config, 4), serial_json(config))
+    EXPECT_EQ(json_on_thread(config), stats_json(config))
         << core::strategy_name(strategy);
   }
 }
@@ -110,8 +103,12 @@ TEST(CacheIdentityTest, JobsSweepMatchesSerialSweep) {
 }
 
 TEST(CacheIdentityTest, RepeatedParallelRunsAgree) {
+  // Two runs executing at the same time, each on its own thread, agree.
   const SimConfig config = cached_config(Strategy::WWAggr);
-  EXPECT_EQ(parallel_json(config, 4), parallel_json(config, 4));
+  const auto run = [&config] { return stats_json(config); };
+  auto first = std::async(std::launch::async, run);
+  auto second = std::async(std::launch::async, run);
+  EXPECT_EQ(first.get(), second.get());
 }
 
 TEST(CacheIdentityTest, CacheStatsSurfaceInRunStats) {

@@ -17,6 +17,7 @@
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "trace/trace.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -124,6 +125,34 @@ TEST(ObservabilityDeterminismTest, PublishedMetricsMatchRunStats) {
                    stats.wall_seconds);
   // An explicit zero, so the manifest always carries the drop counter.
   EXPECT_EQ(registry.counter("trace.intervals_dropped").value(), 0u);
+}
+
+/// The registry's snapshot with the host.* namespace removed, serialized:
+/// what `obs_validate --simulated-only` keeps of a manifest.
+std::string simulated_only(const obs::Registry& registry) {
+  obs::Snapshot snapshot = registry.snapshot();
+  const auto host = [](const auto& entry) {
+    return entry.first.starts_with("host.");
+  };
+  std::erase_if(snapshot.counters, host);
+  std::erase_if(snapshot.gauges, host);
+  std::erase_if(snapshot.histograms, host);
+  util::JsonWriter json;
+  snapshot.write_json(json);
+  return json.str();
+}
+
+TEST(ObservabilityDeterminismTest, SimulatedMetricsRepeatOnOneThread) {
+  // Host-side state that outlives a run (the thread-local coroutine frame
+  // pool above all) must stay out of the simulated namespace: a second run
+  // on the same thread publishes the same non-host snapshot as the first.
+  auto config = paper_config();
+  config.nprocs = 8;
+  obs::Registry first;
+  obs::Registry second;
+  (void)run_observed(config, nullptr, &first);
+  (void)run_observed(config, nullptr, &second);
+  EXPECT_EQ(simulated_only(first), simulated_only(second));
 }
 
 std::string slurp(const std::string& path) {

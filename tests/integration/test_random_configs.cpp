@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -16,10 +18,8 @@ SimConfig random_config(std::uint64_t seed) {
   Xoshiro256 rng(seed);
   SimConfig config;
   config.nprocs = static_cast<std::uint32_t>(rng.uniform_u64(2, 12));
-  const Strategy strategies[] = {Strategy::MW, Strategy::WWPosix,
-                                 Strategy::WWList, Strategy::WWColl,
-                                 Strategy::WWCollList};
-  config.strategy = strategies[rng.uniform_u64(0, 4)];
+  config.strategy =
+      kAllStrategies[rng.uniform_u64(0, std::size(kAllStrategies) - 1)];
   config.query_sync = rng.uniform() < 0.5;
   config.compute_speed = 0.25 + rng.uniform() * 4.0;
   config.queries_per_flush = static_cast<std::uint32_t>(rng.uniform_u64(1, 4));

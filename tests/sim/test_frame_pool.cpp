@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -98,67 +97,6 @@ TEST(FramePoolTest, CoroutineFramesRoundTripThroughThePool) {
   }
   EXPECT_EQ(pool.live(), live_before);
   EXPECT_GT(pool.reused(), reused_before);  // second run hit the free lists
-}
-
-TEST(FramePoolScopeTest, ScopeReroutesLocalToTheInstalledPool) {
-  FramePool& thread_default = FramePool::local();
-  FramePool lp_pool;
-  {
-    FramePool::Scope scope(lp_pool);
-    EXPECT_EQ(&FramePool::local(), &lp_pool);
-    void* block = FramePool::local().allocate(64);
-    EXPECT_EQ(lp_pool.live(), 1u);
-    EXPECT_EQ(thread_default.live(), 0u);
-    FramePool::local().deallocate(block, 64);
-  }
-  EXPECT_EQ(&FramePool::local(), &thread_default);
-  EXPECT_EQ(lp_pool.live(), 0u);
-}
-
-TEST(FramePoolScopeTest, ScopesNestAndRestoreInOrder) {
-  FramePool& thread_default = FramePool::local();
-  FramePool outer_pool;
-  FramePool inner_pool;
-  {
-    FramePool::Scope outer(outer_pool);
-    EXPECT_EQ(&FramePool::local(), &outer_pool);
-    {
-      FramePool::Scope inner(inner_pool);
-      EXPECT_EQ(&FramePool::local(), &inner_pool);
-    }
-    EXPECT_EQ(&FramePool::local(), &outer_pool);
-  }
-  EXPECT_EQ(&FramePool::local(), &thread_default);
-}
-
-TEST(FramePoolScopeTest, ScopeIsThreadLocalNotGlobal) {
-  // The LP-migration property: a scope installed on one thread must not
-  // redirect allocations made by another.
-  FramePool lp_pool;
-  FramePool::Scope scope(lp_pool);
-  FramePool* seen_on_thread = nullptr;
-  std::thread observer(
-      [&seen_on_thread] { seen_on_thread = &FramePool::local(); });
-  observer.join();
-  EXPECT_NE(seen_on_thread, &lp_pool);
-  EXPECT_NE(seen_on_thread, &FramePool::local());
-}
-
-TEST(FramePoolScopeTest, CoroutineFramesFollowTheInstalledPool) {
-  // The engine's usage: frames allocated while an LP's pool is installed
-  // are freed into that same pool even if completion happens under the
-  // same scope later — allocation and release balance within the pool.
-  FramePool lp_pool;
-  int result = 0;
-  {
-    FramePool::Scope scope(lp_pool);
-    Scheduler sched;
-    sched.spawn(pooled_root(sched, result));
-    sched.run();
-  }
-  EXPECT_EQ(result, 17);
-  EXPECT_EQ(lp_pool.live(), 0u);
-  EXPECT_GT(lp_pool.slab_bytes(), 0u);  // the frames really came from it
 }
 
 }  // namespace
