@@ -10,12 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "core/simulation.hpp"
+#include "util/units.hpp"
 
 namespace {
 
 using namespace s3asim::core;
+using s3asim::mpiio::NoncontigMethod;
+using s3asim::util::KiB;
+using s3asim::util::MiB;
 
 struct Golden {
   Strategy strategy;
@@ -74,6 +81,194 @@ TEST(GoldenStatsTest, EveryStrategyMatchesPinnedAggregates) {
     EXPECT_EQ(tasks, golden.tasks_processed);
     EXPECT_EQ(bytes, golden.bytes_written);
     EXPECT_EQ(writes, golden.writes_issued);
+  }
+}
+
+// ---- Cache, sieve and read paths -------------------------------------------
+// The table above runs every strategy with the cache off and no database
+// I/O.  These rows pin the other client paths: the write-back cache and its
+// lease traffic, interleaved-database reads by each access method, and
+// sieved writes whose windows need a read-modify-write pre-read.  To
+// regenerate, print the same aggregates and the nonzero `path_counters`
+// from a `run_simulation` loop over the rows.
+
+/// The cache on at its default granularity (64 KiB blocks, 1 MiB leases)
+/// over 64 KiB strips, large enough that only syncs and close write back.
+SimConfig cached(Strategy strategy) {
+  SimConfig config = test_config();
+  config.strategy = strategy;
+  config.model.pfs.layout = s3asim::pfs::Layout(64 * KiB, 4);
+  config.model.pfs.cache.capacity_bytes = 64 * MiB;
+  config.model.pfs.cache.block_bytes = 64 * KiB;
+  config.model.pfs.cache.token_bytes = MiB;
+  return config;
+}
+
+/// A cache a fraction of one flush, with leases coarser than one worker's
+/// extents: absorbs evict, and workers revoke each other's leases.
+SimConfig small_cache() {
+  SimConfig config = test_config();
+  config.strategy = Strategy::WWList;
+  config.sync_after_write = false;
+  config.model.pfs.cache.capacity_bytes = 32 * KiB;
+  config.model.pfs.cache.block_bytes = 4 * KiB;
+  config.model.pfs.cache.token_bytes = 16 * KiB;
+  return config;
+}
+
+/// A formatdb-style interleaved database four times the size of worker
+/// memory, so fragments are streamed, dropped and streamed again with
+/// `method`, through a client cache of `cache_bytes` when nonzero.
+SimConfig interleaved(NoncontigMethod method, std::uint64_t cache_bytes = 0) {
+  SimConfig config = test_config();
+  config.workload.database_bytes = 8 * MiB;
+  config.workload.db_chunk_bytes = 16 * KiB;
+  config.worker_memory_bytes = 2 * MiB;
+  config.read_method = method;
+  config.hints.sieve_buffer_bytes = 256 * KiB;
+  if (cache_bytes != 0) {
+    config.model.pfs.cache.capacity_bytes = cache_bytes;
+    config.model.pfs.cache.block_bytes = 16 * KiB;
+    config.model.pfs.cache.token_bytes = 64 * KiB;
+  }
+  return config;
+}
+
+/// WW-Sieve flushing every two queries: a worker's extents then span
+/// other workers' regions, so its windows have holes to pre-read.
+SimConfig sieve_with_holes() {
+  SimConfig config = test_config();
+  config.strategy = Strategy::WWSieve;
+  config.queries_per_flush = 2;
+  return config;
+}
+
+/// The `cache.*` and `sieve.*` counters of a run that are nonzero.
+std::map<std::string, std::uint64_t> path_counters(const RunStats& stats) {
+  const CacheRunStats& c = stats.cache;
+  const SieveRunStats& s = stats.sieve;
+  const std::pair<const char*, std::uint64_t> all[] = {
+      {"cache.read_hits", c.read_hits},
+      {"cache.read_misses", c.read_misses},
+      {"cache.write_hits", c.write_hits},
+      {"cache.write_misses", c.write_misses},
+      {"cache.evictions", c.evictions},
+      {"cache.writebacks", c.writebacks},
+      {"cache.writeback_bytes", c.writeback_bytes},
+      {"cache.invalidations", c.invalidations},
+      {"cache.close_writebacks", c.close_writebacks},
+      {"cache.token_grants", c.token_grants},
+      {"cache.token_revocations", c.token_revocations},
+      {"cache.token_conflicts", c.token_conflicts},
+      {"cache.metadata_ops", c.metadata_ops},
+      {"sieve.reads", s.reads},
+      {"sieve.writes", s.writes},
+      {"sieve.rmw_reads", s.rmw_reads},
+      {"sieve.holes_protected", s.holes_protected},
+      {"sieve.read_useful_bytes", s.read_useful_bytes},
+      {"sieve.read_transferred_bytes", s.read_transferred_bytes},
+      {"sieve.write_useful_bytes", s.write_useful_bytes},
+      {"sieve.write_transferred_bytes", s.write_transferred_bytes},
+  };
+  std::map<std::string, std::uint64_t> nonzero;
+  for (const auto& [name, value] : all)
+    if (value != 0) nonzero.emplace(name, value);
+  return nonzero;
+}
+
+struct PathGolden {
+  const char* name;
+  SimConfig config;
+  double wall_seconds;
+  std::uint64_t events;
+  std::uint64_t server_requests;
+  std::uint64_t server_pairs;
+  std::uint64_t db_bytes_read;
+  std::map<std::string, std::uint64_t> counters;  ///< nonzero ones only
+};
+
+TEST(GoldenStatsTest, CacheAndReadPathsMatchPinnedAggregates) {
+  // clang-format off
+  const PathGolden kPaths[] = {
+    {"MW cache", cached(Strategy::MW),
+     0.818128679, 1264ull, 16ull, 16ull, 0ull,
+     {{"cache.metadata_ops", 4}, {"cache.token_grants", 2},
+      {"cache.write_hits", 3}, {"cache.write_misses", 17},
+      {"cache.writeback_bytes", 1079929}, {"cache.writebacks", 4}}},
+    {"WW-POSIX cache", cached(Strategy::WWPosix),
+     0.911642310, 2581ull, 63ull, 181ull, 0ull,
+     {{"cache.invalidations", 70}, {"cache.metadata_ops", 23},
+      {"cache.token_conflicts", 17}, {"cache.token_grants", 18},
+      {"cache.token_revocations", 17}, {"cache.write_hits", 109},
+      {"cache.write_misses", 74}, {"cache.writeback_bytes", 1079929},
+      {"cache.writebacks", 18}}},
+    {"WW-List cache", cached(Strategy::WWList),
+     0.896483383, 2553ull, 63ull, 181ull, 0ull,
+     {{"cache.invalidations", 70}, {"cache.metadata_ops", 21},
+      {"cache.token_conflicts", 15}, {"cache.token_grants", 16},
+      {"cache.token_revocations", 15}, {"cache.write_hits", 109},
+      {"cache.write_misses", 74}, {"cache.writeback_bytes", 1079929},
+      {"cache.writebacks", 16}}},
+    {"WW-Sieve cache", cached(Strategy::WWSieve),
+     0.896483383, 2553ull, 63ull, 181ull, 0ull,
+     {{"cache.invalidations", 70}, {"cache.metadata_ops", 21},
+      {"cache.token_conflicts", 15}, {"cache.token_grants", 16},
+      {"cache.token_revocations", 15}, {"cache.write_hits", 109},
+      {"cache.write_misses", 74}, {"cache.writeback_bytes", 1079929},
+      {"cache.writebacks", 16}}},
+    {"small cache", small_cache(),
+     1.227155391, 3555ull, 187ull, 233ull, 0ull,
+     {{"cache.close_writebacks", 16}, {"cache.evictions", 180},
+      {"cache.invalidations", 213}, {"cache.metadata_ops", 20},
+      {"cache.token_conflicts", 67}, {"cache.token_grants", 56},
+      {"cache.token_revocations", 67}, {"cache.write_hits", 19},
+      {"cache.write_misses", 415}, {"cache.writeback_bytes", 1079929},
+      {"cache.writebacks", 121}}},
+    {"interleaved posix", interleaved(NoncontigMethod::Posix),
+     3.201292290, 11307ull, 59ull, 225ull, 13631488ull,
+     {}},
+    {"interleaved list", interleaved(NoncontigMethod::ListIo),
+     2.633097314, 2378ull, 59ull, 225ull, 13631488ull,
+     {}},
+    {"interleaved sieve", interleaved(NoncontigMethod::Sieve),
+     4.725080532, 20847ull, 59ull, 209ull, 14680064ull,
+     {{"sieve.read_transferred_bytes", 66060288},
+      {"sieve.read_useful_bytes", 14680064}, {"sieve.reads", 448}}},
+    {"interleaved posix small cache", interleaved(NoncontigMethod::Posix, MiB),
+     3.220413793, 15376ull, 59ull, 225ull, 13631488ull,
+     {{"cache.evictions", 659}, {"cache.invalidations", 129},
+      {"cache.metadata_ops", 533}, {"cache.read_misses", 832},
+      {"cache.token_conflicts", 17}, {"cache.token_grants", 527},
+      {"cache.token_revocations", 17}, {"cache.write_hits", 61},
+      {"cache.write_misses", 176}, {"cache.writeback_bytes", 1079929},
+      {"cache.writebacks", 15}}},
+    {"interleaved sieve cache", interleaved(NoncontigMethod::Sieve, 6 * MiB),
+     2.615308176, 2661ull, 59ull, 225ull, 13631488ull,
+     {{"cache.invalidations", 131}, {"cache.metadata_ops", 29},
+      {"cache.read_hits", 64}, {"cache.read_misses", 768},
+      {"cache.token_conflicts", 15}, {"cache.token_grants", 527},
+      {"cache.token_revocations", 15}, {"cache.write_hits", 60},
+      {"cache.write_misses", 178}, {"cache.writeback_bytes", 1079929},
+      {"cache.writebacks", 15}}},
+    {"WW-Sieve holes", sieve_with_holes(),
+     0.799996571, 2022ull, 32ull, 32ull, 0ull,
+     {{"sieve.holes_protected", 160}, {"sieve.rmw_reads", 8},
+      {"sieve.write_transferred_bytes", 4129563},
+      {"sieve.write_useful_bytes", 1079929}, {"sieve.writes", 8}}},
+  };
+  // clang-format on
+
+  for (const PathGolden& golden : kPaths) {
+    const RunStats stats = run_simulation(golden.config);
+
+    SCOPED_TRACE(golden.name);
+    EXPECT_TRUE(stats.file_exact);
+    EXPECT_DOUBLE_EQ(stats.wall_seconds, golden.wall_seconds);
+    EXPECT_EQ(stats.events, golden.events);
+    EXPECT_EQ(stats.fs.server_requests, golden.server_requests);
+    EXPECT_EQ(stats.fs.server_pairs, golden.server_pairs);
+    EXPECT_EQ(stats.db_bytes_read, golden.db_bytes_read);
+    EXPECT_EQ(path_counters(stats), golden.counters);
   }
 }
 
