@@ -24,8 +24,7 @@ inline constexpr char kUsageText[] =
     "  --admit-depth N     bounded admission queue depth; arrivals beyond it\n"
     "                      are shed (default 64)\n"
     "  --cache-size B      per-client write-back cache capacity (e.g. 64MiB;\n"
-    "                      default 0 = caching off, byte-identical to\n"
-    "                      direct dispatch)\n"
+    "                      default 0 = caching off)\n"
     "  --cache-block B     cache block size; must divide strip_size\n"
     "                      (default 64KiB)\n"
     "  --token-granularity B\n"

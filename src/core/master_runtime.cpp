@@ -708,7 +708,7 @@ sim::Process master_process(App& app) {
   // Close the master's client cache (MW and gap-repair writes go through
   // it) before the workers are told to finish, so every lease conflict is
   // settled ahead of the final barrier.
-  if (app.fs.cache_enabled()) co_await app.fs.release_client(app.master);
+  co_await app.fs.release_client(app.master);
   for (const mpi::Rank worker : app.workers) {
     MasterMsg msg;
     msg.kind = MasterMsg::Kind::Finish;

@@ -227,6 +227,11 @@ struct App {
                                        std::uint32_t fragment,
                                        mpi::Rank rank) const;
 
+  /// Streams `fragment` from the database file into `rank`'s memory and
+  /// counts the load; the read time is the rank's Io phase.  Defined in
+  /// worker_runtime.cpp.
+  sim::Task<void> load_fragment(mpi::Rank rank, std::uint32_t fragment);
+
   void record_phase(mpi::Rank rank, Phase phase, sim::Time start, sim::Time end) {
     rank_stats[rank].phases.add(phase, end - start);
     if (trace_log != nullptr && end > start)

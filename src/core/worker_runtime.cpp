@@ -66,6 +66,23 @@ sim::Task<void> worker_flush(App& app, mpi::Rank rank, WorkerState& state,
 
 }  // namespace
 
+sim::Task<void> App::load_fragment(mpi::Rank rank, std::uint32_t fragment) {
+  ++rank_stats[rank].fragment_loads;
+  const sim::Time start = scheduler.now();
+  if (interleaved_database()) {
+    // formatdb-style round-robin layout: the fragment is a strided extent
+    // list, served by the configured noncontiguous read method (posix /
+    // list / sieve — docs/IO_MODEL.md §3).
+    co_await database_file->read_noncontig(rank, fragment_extents(fragment),
+                                           config.read_method);
+  } else {
+    co_await database_file->read_at(
+        rank, static_cast<std::uint64_t>(fragment) * fragment_bytes(),
+        fragment_bytes());
+  }
+  record_phase(rank, Phase::Io, start, scheduler.now());
+}
+
 sim::Process worker_stream_pump(App& app, mpi::Rank rank) {
   while (true) {
     mpi::Message message =
@@ -131,21 +148,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
       if (state.cache.touch(fragment)) {
         ++app.rank_stats[rank].fragment_hits;
       } else {
-        ++app.rank_stats[rank].fragment_loads;
-        const sim::Time start = app.scheduler.now();
-        if (app.interleaved_database()) {
-          // formatdb-style round-robin layout: the fragment is a strided
-          // extent list, served by the configured noncontiguous read
-          // method (posix / list / sieve — docs/IO_MODEL.md §3).
-          co_await app.database_file->read_noncontig(
-              rank, app.fragment_extents(fragment), app.config.read_method);
-        } else {
-          co_await app.database_file->read_at(
-              rank,
-              static_cast<std::uint64_t>(fragment) * app.fragment_bytes(),
-              app.fragment_bytes());
-        }
-        app.record_phase(rank, Phase::Io, start, app.scheduler.now());
+        co_await app.load_fragment(rank, fragment);
       }
     }
 
@@ -394,21 +397,8 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
         if (app.models_database_io()) {
           const std::uint32_t fragment =
               rank % app.config.workload.fragment_count;
-          if (!state.cache.touch(fragment)) {
-            ++app.rank_stats[rank].fragment_loads;
-            const sim::Time start = app.scheduler.now();
-            if (app.interleaved_database()) {
-              co_await app.database_file->read_noncontig(
-                  rank, app.fragment_extents(fragment),
-                  app.config.read_method);
-            } else {
-              co_await app.database_file->read_at(
-                  rank,
-                  static_cast<std::uint64_t>(fragment) * app.fragment_bytes(),
-                  app.fragment_bytes());
-            }
-            app.record_phase(rank, Phase::Io, start, app.scheduler.now());
-          }
+          if (!state.cache.touch(fragment))
+            co_await app.load_fragment(rank, fragment);
         }
         (void)app.registry->activate(rank, app.scheduler.now());
         // Now a full cluster member: request the first task.
@@ -428,7 +418,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
           co_await worker_flush(app, rank, state, app.query_count() - 1);
         // Close the client cache before the final barrier: write back any
         // dirty blocks and return the byte-range leases (DESIGN.md §10).
-        if (app.fs.cache_enabled()) co_await app.fs.release_client(rank);
+        co_await app.fs.release_client(rank);
         break;
       }
     }

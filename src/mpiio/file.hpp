@@ -76,41 +76,26 @@ class File {
                                    length, rank, query);
   }
 
-  /// Independent noncontiguous write of pre-flattened extents.
-  /// Dispatcher, not a coroutine: the Posix/ListIo path keeps the exact
-  /// coroutine frame (and frame-pool behavior) of pre-sieving builds —
-  /// the same transparency discipline as `pfs::Pfs`'s cache dispatchers.
-  [[nodiscard]] sim::Task<void> write_noncontig(mpi::Rank rank,
-                                                std::vector<Extent> extents,
-                                                NoncontigMethod method,
-                                                std::uint64_t query = 0) {
-    if (method == NoncontigMethod::Sieve)
-      return write_noncontig_sieved(rank, std::move(extents), query);
-    return write_noncontig_direct(rank, std::move(extents), method, query);
-  }
-
- private:
-  sim::Task<void> write_noncontig_direct(mpi::Rank rank,
-                                         std::vector<Extent> extents,
-                                         NoncontigMethod method,
-                                         std::uint64_t query) {
-    if (method == NoncontigMethod::Posix) {
-      co_await fs_->write_posix(handle_, comm_->endpoint_of(rank), extents,
-                                rank, query);
-    } else {
-      co_await fs_->write_list(handle_, comm_->endpoint_of(rank), extents,
-                               rank, query);
+  /// Independent noncontiguous write of pre-flattened extents, executed by
+  /// one of the three ADIO methods.
+  sim::Task<void> write_noncontig(mpi::Rank rank, std::vector<Extent> extents,
+                                  NoncontigMethod method,
+                                  std::uint64_t query = 0) {
+    switch (method) {
+      case NoncontigMethod::Posix:
+        co_await fs_->write_posix(handle_, comm_->endpoint_of(rank), extents,
+                                  rank, query);
+        break;
+      case NoncontigMethod::ListIo:
+        co_await fs_->write_list(handle_, comm_->endpoint_of(rank), extents,
+                                 rank, query);
+        break;
+      case NoncontigMethod::Sieve:
+        co_await fs_->write_sieved(handle_, comm_->endpoint_of(rank), extents,
+                                   hints_.sieve_buffer_bytes, rank, query);
+        break;
     }
   }
-
-  sim::Task<void> write_noncontig_sieved(mpi::Rank rank,
-                                         std::vector<Extent> extents,
-                                         std::uint64_t query) {
-    co_await fs_->write_sieved(handle_, comm_->endpoint_of(rank), extents,
-                               hints_.sieve_buffer_bytes, rank, query);
-  }
-
- public:
 
   /// Independent noncontiguous write described by a datatype at an offset.
   sim::Task<void> write_typed(mpi::Rank rank, std::uint64_t offset,

@@ -37,7 +37,7 @@ using FileHandle = std::uint32_t;
 
 /// Knobs of the client-side cache layer.  Disabled by default
 /// (`capacity_bytes == 0`): every client path ships extents straight to the
-/// servers, byte-identical to pre-cache builds.
+/// servers.
 struct CacheParams {
   /// Per-client cache capacity; 0 disables the whole layer.
   std::uint64_t capacity_bytes = 0;

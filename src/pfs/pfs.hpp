@@ -1,10 +1,9 @@
 #pragma once
-#define S3ASIM_PFS_PFS_HPP_INCLUDED
 
 /// \file pfs.hpp
 /// The simulated parallel file system: N server processes behind network
-/// endpoints, a metadata server, striped file layout, and client-side write
-/// paths (contiguous, POSIX per-extent, native list I/O).
+/// endpoints, a metadata server, striped file layout, and the client
+/// paths that write and read it.
 ///
 /// PVFS2 properties modeled (paper §3.1):
 ///  * no locking and no atomicity for overlapping writes — requests from
@@ -15,12 +14,22 @@
 ///  * server-side costs: per-request overhead, per-OL-pair overhead, byte
 ///    bandwidth, and an explicit sync (flush) request.
 ///
+/// Every client operation is one coroutine built on three helpers:
+/// `round_trip` (one request to one server — the only code that enqueues
+/// server work), its detached wrapper, and `fan_out` (one request per
+/// touched server, in parallel).  The access methods of ROMIO's ADIO layer
+/// differ only in the requests they shape (docs/IO_MODEL.md): list I/O
+/// ships each server's whole OL list, POSIX one round trip per extent, and
+/// data sieving (sieve.hpp) contiguous buffer-sized windows.
+///
 /// Optional client-side cache layer (DESIGN.md §10): when
-/// `PfsParams::cache` is enabled, every client path absorbs writes into a
-/// per-client write-back `ClientCache` guarded by byte-range lease tokens
-/// granted by the metadata server (`TokenManager` + a serialized token
-/// service).  Off by default — the direct-dispatch paths above are then
-/// byte-identical to pre-cache builds.
+/// `PfsParams::cache` is enabled, each operation consults a per-client
+/// write-back `ClientCache` guarded by byte-range lease tokens granted by
+/// the metadata server (`TokenManager` + a serialized token service).
+/// Sieved accesses then go through the cache as list I/O: the cache
+/// already coalesces at block granularity and keeps granules resident, so
+/// a sieve buffer under it would re-read bytes the cache is about to keep
+/// (docs/IO_MODEL.md §5).
 
 #include <algorithm>
 #include <cmath>
@@ -126,213 +135,178 @@ class Pfs {
   /// Native list I/O: every extent decomposed and grouped per server; one
   /// request per touched server carrying that server's whole OL list; all
   /// servers proceed in parallel.  The extents may live anywhere that
-  /// outlives the call (vector, stack array); decomposition goes through a
-  /// pooled scratch and completion through one WaitGroup, so the whole
-  /// fan-out allocates nothing in steady state.
-  /// Dispatcher, not a coroutine: the direct path keeps the exact frame
-  /// layout (and frame-pool behavior) of pre-cache builds when the cache
-  /// is off.
-  [[nodiscard]] sim::Task<void> write_list(FileHandle file,
-                                           net::EndpointId client,
-                                           std::span<const Extent> extents,
-                                           std::uint32_t writer = 0,
-                                           std::uint64_t query = 0) {
-    if (cache_enabled())
-      return cache_write_list(file, client, extents, writer, query);
-    return direct_write_list(file, client, extents, writer, query);
-  }
-
- private:
-  sim::Task<void> direct_write_list(FileHandle file, net::EndpointId client,
-                                    std::span<const Extent> extents,
-                                    std::uint32_t writer, std::uint64_t query) {
-    FileState& state = file_state(file);
-    ScratchLease scratch = acquire_scratch();
-    params_.layout.group_by_server(extents, *scratch);
-    sim::WaitGroup pending(*scheduler_);
-    for (std::uint32_t s = 0; s < scratch->per_server.size(); ++s) {
-      if (scratch->per_server[s].empty()) continue;
-      pending.add();
-      scheduler_->spawn(issue_write(s, client, scratch->per_server[s], pending));
+  /// outlives the call (vector, stack array).  With the cache on, one
+  /// batched lease acquisition covers the whole list and every extent lands
+  /// in the write-back cache — servers see nothing until eviction, sync,
+  /// revocation, or close.
+  sim::Task<void> write_list(FileHandle file, net::EndpointId client,
+                             std::span<const Extent> extents,
+                             std::uint32_t writer = 0,
+                             std::uint64_t query = 0) {
+    if (cache_enabled()) {
+      co_await absorb_batch(file, client, extents, writer, query);
+      co_await drain_evictions(client);
+      co_return;
     }
-    co_await pending.wait();
-
-    for (const Extent& extent : extents)
-      state.image.record_write(extent.offset, extent.length, writer, query);
+    co_await fan_out(RequestKind::Write, client, extents);
+    record_writes(file, extents, writer, query);
   }
 
-  /// Cache path: one batched lease acquisition for the whole OL list, then
-  /// every extent lands in the write-back cache — servers see nothing until
-  /// eviction, sync, revocation, or close.
-  sim::Task<void> cache_write_list(FileHandle file, net::EndpointId client,
-                                   std::span<const Extent> extents,
-                                   std::uint32_t writer, std::uint64_t query) {
-    co_await absorb_batch(file, client, extents, writer, query);
-    co_await drain_evictions(client);
-  }
-
- public:
-  /// Read of a contiguous range: one request per touched server carrying
-  /// only headers out, data back.  Used by query-segmentation tools that
-  /// stream database fragments from the file system.
-  [[nodiscard]] sim::Task<void> read_contiguous(FileHandle file,
-                                                net::EndpointId client,
-                                                std::uint64_t offset,
-                                                std::uint64_t length) {
-    if (cache_enabled()) return cache_read(file, client, offset, length);
-    return direct_read_contiguous(file, client, offset, length);
-  }
-
-  /// Native noncontiguous list read — the read twin of `write_list`: every
-  /// extent decomposed and grouped per server, one request per touched
-  /// server carrying that server's whole OL list, data back in parallel.
-  /// Definitions live in pfs_read.hpp (split to keep this header focused
-  /// on the write paths and server machinery).
-  [[nodiscard]] sim::Task<void> read_list(FileHandle file,
-                                          net::EndpointId client,
-                                          std::span<const Extent> extents);
-
-  /// Data-sieving read (docs/IO_MODEL.md §4): the extent list is covered by
-  /// contiguous windows of at most `buffer_bytes`; each window is one
-  /// contiguous transfer (amplified by its holes) issued sequentially — the
-  /// single client-side sieve buffer is reused per window.
-  sim::Task<void> read_sieved(FileHandle file, net::EndpointId client,
+  /// POSIX-style noncontiguous write: one fully-synchronous round trip per
+  /// extent, in order — "the MPI_Write() call without optimization".  With
+  /// the cache on, each extent checks (and pays for) its lease separately —
+  /// the round-trip cadence that token contention punishes — but the data
+  /// itself is absorbed write-back.
+  sim::Task<void> write_posix(FileHandle file, net::EndpointId client,
                               std::span<const Extent> extents,
-                              std::uint64_t buffer_bytes);
+                              std::uint32_t writer = 0,
+                              std::uint64_t query = 0) {
+    if (cache_enabled()) {
+      for (const Extent& extent : extents)
+        co_await absorb_batch(file, client, std::span<const Extent>(&extent, 1),
+                              writer, query);
+      co_await drain_evictions(client);
+      co_return;
+    }
+    const std::uint64_t strip = params_.layout.strip_size();
+    for (const Extent& extent : extents) {
+      const std::span<const Extent> one(&extent, 1);
+      // The common case — an extent inside one strip — is one round trip
+      // carrying one OL pair, awaited with no decomposition at all.  A
+      // strip-crossing extent is awaited directly too when its strips all
+      // sit on one server; only one spanning servers fans out.
+      if (extent.length != 0 && extent.offset % strip + extent.length <= strip)
+        co_await round_trip(RequestKind::Write,
+                            params_.layout.server_of(extent.offset), client,
+                            /*pairs=*/1, extent.length);
+      else
+        co_await fan_out(RequestKind::Write, client, one, /*await_lone=*/true);
+      record_writes(file, one, writer, query);
+    }
+  }
 
   /// Data-sieving write: each window containing holes is read back first
   /// (hole protection), then written as one contiguous transfer.  Only the
   /// real extents are recorded in the file image — the hole bytes rewrite
-  /// the contents the pre-read fetched.
+  /// the contents the pre-read fetched.  With the cache on this is
+  /// `write_list`: absorption already coalesces, with no amplification and
+  /// no read-modify-write.
   sim::Task<void> write_sieved(FileHandle file, net::EndpointId client,
                                std::span<const Extent> extents,
                                std::uint64_t buffer_bytes,
                                std::uint32_t writer = 0,
-                               std::uint64_t query = 0);
+                               std::uint64_t query = 0) {
+    if (cache_enabled()) {
+      co_await write_list(file, client, extents, writer, query);
+      co_return;
+    }
+    const SievePlan plan = plan_sieve(extents, buffer_bytes);
+    sieve_.writes += plan.windows.size();
+    sieve_.write_useful_bytes += plan.useful_bytes;
+    sieve_.write_transferred_bytes += plan.transferred_bytes;
+    for (const SieveWindow& window : plan.windows) {
+      const Extent span{window.offset, window.length};
+      if (window.holes != 0) {
+        // Read-modify-write: fetch the window so its holes are written back
+        // with their current contents.  PVFS2 offers no locking, so this
+        // pre-read is the only protection the gaps get — see DESIGN.md §11
+        // for the concurrency caveat this inherits from real ROMIO.
+        ++sieve_.rmw_reads;
+        sieve_.holes_protected += window.holes;
+        co_await fan_out(RequestKind::Read, client,
+                         std::span<const Extent>(&span, 1));
+      }
+      co_await fan_out(RequestKind::Write, client,
+                       std::span<const Extent>(&span, 1));
+    }
+    // Only the caller's extents land in the image: the hole bytes rewrote
+    // whatever the pre-read saw, leaving other writers' data attributed to
+    // them.
+    record_writes(file, extents, writer, query);
+  }
+
+  /// Read of a contiguous range: `read_list` of one extent.  Used by
+  /// query-segmentation tools that stream database fragments from the file
+  /// system.
+  sim::Task<void> read_contiguous(FileHandle file, net::EndpointId client,
+                                  std::uint64_t offset, std::uint64_t length) {
+    const Extent one{offset, length};
+    co_await read_list(file, client, std::span<const Extent>(&one, 1));
+  }
+
+  /// Native noncontiguous list read — the read twin of `write_list`: one
+  /// request per touched server carrying only headers out, that server's
+  /// data back, all in parallel.  With the cache on, read leases are
+  /// acquired symmetrically with the write path (granule-precise spans,
+  /// double-checked under the serialized token service), the cache is
+  /// probed per extent, and only the missing pieces are fetched.
+  sim::Task<void> read_list(FileHandle file, net::EndpointId client,
+                            std::span<const Extent> extents) {
+    FileState& state = file_state(file);
+    for (const Extent& extent : extents) state.bytes_read += extent.length;
+    if (!cache_enabled()) {
+      co_await fan_out(RequestKind::Read, client, extents);
+      co_return;
+    }
+    std::optional<sim::ResourceHold> hold;
+    if (!lease_spans(file, client, TokenMode::Read, extents).empty())
+      co_await grant_leases(file, client, TokenMode::Read, extents, hold);
+    std::vector<Extent> missing;
+    ClientCache& cache = client_cache(client);
+    for (const Extent& extent : extents)
+      cache.absorb_read(file, extent, missing);
+    hold.reset();
+    if (!missing.empty()) co_await fan_out(RequestKind::Read, client, missing);
+    co_await drain_evictions(client);
+  }
+
+  /// Data-sieving read (docs/IO_MODEL.md §4): the extent list is covered by
+  /// contiguous windows of at most `buffer_bytes`; each window is one
+  /// contiguous transfer (amplified by its holes) issued sequentially — the
+  /// single client-side sieve buffer is reused per window.  With the cache
+  /// on this is `read_list`.
+  sim::Task<void> read_sieved(FileHandle file, net::EndpointId client,
+                              std::span<const Extent> extents,
+                              std::uint64_t buffer_bytes) {
+    if (cache_enabled()) {
+      co_await read_list(file, client, extents);
+      co_return;
+    }
+    const SievePlan plan = plan_sieve(extents, buffer_bytes);
+    file_state(file).bytes_read += plan.useful_bytes;
+    sieve_.reads += plan.windows.size();
+    sieve_.read_useful_bytes += plan.useful_bytes;
+    sieve_.read_transferred_bytes += plan.transferred_bytes;
+    for (const SieveWindow& window : plan.windows) {
+      const Extent span{window.offset, window.length};
+      co_await fan_out(RequestKind::Read, client,
+                       std::span<const Extent>(&span, 1));
+    }
+  }
+
+  /// MPI_File_sync: a flush request to every server, in parallel.  With the
+  /// cache enabled, the client first writes back its dirty data for the
+  /// file (one coalesced list write), then issues the server-side flush.
+  sim::Task<void> sync(FileHandle file, net::EndpointId client) {
+    if (cache_enabled()) {
+      WritebackRun run;
+      client_cache(client).flush_file(file, run);
+      if (!run.extents.empty())
+        co_await fan_out(RequestKind::Write, client, run.extents);
+    }
+    sim::WaitGroup pending(*scheduler_);
+    for (std::uint32_t s = 0; s < servers_.size(); ++s) {
+      pending.add();
+      scheduler_->spawn(detached_round_trip(RequestKind::Sync, s, client,
+                                            /*pairs=*/0, /*bytes=*/0, pending));
+    }
+    co_await pending.wait();
+  }
 
   /// Client-side sieve counters (published as `pfs.sieve.*` when used).
   [[nodiscard]] const SieveStats& sieve_stats() const noexcept {
     return sieve_;
   }
-
- private:
-  sim::Task<void> direct_read_contiguous(FileHandle file,
-                                         net::EndpointId client,
-                                         std::uint64_t offset,
-                                         std::uint64_t length) {
-    FileState& state = file_state(file);
-    state.bytes_read += length;
-    const Extent one{offset, length};
-    ScratchLease scratch = acquire_scratch();
-    params_.layout.group_by_server(std::span<const Extent>(&one, 1), *scratch);
-    sim::WaitGroup pending(*scheduler_);
-    for (std::uint32_t s = 0; s < scratch->per_server.size(); ++s) {
-      if (scratch->per_server[s].empty()) continue;
-      pending.add();
-      scheduler_->spawn(issue_read(s, client, scratch->per_server[s], pending));
-    }
-    co_await pending.wait();
-  }
-
- public:
-  /// POSIX-style noncontiguous write: one fully-synchronous round trip per
-  /// extent, in order — "the MPI_Write() call without optimization".  One
-  /// scratch and one WaitGroup carry the whole extent loop.
-  [[nodiscard]] sim::Task<void> write_posix(FileHandle file,
-                                            net::EndpointId client,
-                                            std::span<const Extent> extents,
-                                            std::uint32_t writer = 0,
-                                            std::uint64_t query = 0) {
-    if (cache_enabled())
-      return cache_write_posix(file, client, extents, writer, query);
-    return direct_write_posix(file, client, extents, writer, query);
-  }
-
- private:
-  /// Cache path keeps POSIX per-call semantics: each extent checks (and
-  /// pays for) its lease separately — the round-trip cadence that token
-  /// contention punishes — but the data itself is absorbed write-back.
-  sim::Task<void> cache_write_posix(FileHandle file, net::EndpointId client,
-                                    std::span<const Extent> extents,
-                                    std::uint32_t writer, std::uint64_t query) {
-    for (const Extent& extent : extents)
-      co_await absorb_batch(file, client, std::span<const Extent>(&extent, 1),
-                            writer, query);
-    co_await drain_evictions(client);
-  }
-
-  sim::Task<void> direct_write_posix(FileHandle file, net::EndpointId client,
-                                     std::span<const Extent> extents,
-                                     std::uint32_t writer,
-                                     std::uint64_t query) {
-    FileState& state = file_state(file);
-    const std::uint64_t strip = params_.layout.strip_size();
-    for (const Extent& extent : extents) {
-      // The common case — an extent inside one strip — is a strictly
-      // sequential round trip to one server carrying one OL pair, and is
-      // awaited directly: no decomposition scratch, no detached process, no
-      // completion latch.  Only a strip-crossing extent needs the general
-      // grouping (and, when it touches several servers, the parallel
-      // fan-out).
-      if (extent.length != 0 && extent.offset % strip + extent.length <= strip) {
-        co_await write_one(params_.layout.server_of(extent.offset), client,
-                           /*pairs=*/1, extent.length);
-      } else {
-        ScratchLease scratch = acquire_scratch();
-        params_.layout.group_by_server(std::span<const Extent>(&extent, 1),
-                                       *scratch);
-        std::uint32_t touched = 0;
-        std::uint32_t only = 0;
-        for (std::uint32_t s = 0; s < scratch->per_server.size(); ++s) {
-          if (scratch->per_server[s].empty()) continue;
-          ++touched;
-          only = s;
-        }
-        if (touched == 1) {
-          co_await write_one(only, client, scratch->per_server[only]);
-        } else {
-          sim::WaitGroup pending(*scheduler_);
-          for (std::uint32_t s = 0; s < scratch->per_server.size(); ++s) {
-            if (scratch->per_server[s].empty()) continue;
-            pending.add();
-            scheduler_->spawn(
-                issue_write(s, client, scratch->per_server[s], pending));
-          }
-          co_await pending.wait();
-        }
-      }
-      state.image.record_write(extent.offset, extent.length, writer, query);
-    }
-  }
-
- public:
-  /// MPI_File_sync: a flush request to every server, in parallel.  With the
-  /// cache enabled, the client first writes back its dirty data for the
-  /// file (one coalesced list write), then issues the server-side flush.
-  [[nodiscard]] sim::Task<void> sync(FileHandle file, net::EndpointId client) {
-    if (cache_enabled()) return cache_sync(file, client);
-    return direct_sync(file, client);
-  }
-
- private:
-  sim::Task<void> cache_sync(FileHandle file, net::EndpointId client) {
-    WritebackRun run;
-    client_cache(client).flush_file(file, run);
-    if (!run.extents.empty()) co_await writeback_run(client, run);
-    co_await direct_sync(file, client);
-  }
-
-  sim::Task<void> direct_sync(FileHandle file, net::EndpointId client) {
-    (void)file;  // PVFS2 sync flushes the server-side streams
-    sim::WaitGroup pending(*scheduler_);
-    for (std::uint32_t s = 0; s < servers_.size(); ++s) {
-      pending.add();
-      scheduler_->spawn(issue_sync(s, client, pending));
-    }
-    co_await pending.wait();
-  }
-
- public:
 
   [[nodiscard]] const FileImage& image(FileHandle file) const {
     S3A_REQUIRE(file < files_.size());
@@ -396,7 +370,8 @@ class Pfs {
     std::vector<WritebackRun> runs;
     it->second->close_all(runs);
     for (const WritebackRun& run : runs)
-      if (!run.extents.empty()) co_await writeback_run(client, run);
+      if (!run.extents.empty())
+        co_await fan_out(RequestKind::Write, client, run.extents);
     tokens_->release_client(static_cast<std::uint32_t>(client));
     co_await network_->transfer(client, server_endpoint_base_,
                                 params_.request_header_bytes);
@@ -407,12 +382,13 @@ class Pfs {
   }
 
  private:
+  /// What a server request does, coded as the observer reports it.
+  enum class RequestKind : char { Write = 'w', Read = 'r', Sync = 's' };
+
   struct ServerRequest {
+    RequestKind kind = RequestKind::Write;
     std::uint64_t pairs = 0;
     std::uint64_t bytes = 0;
-    bool is_sync = false;
-    bool is_read = false;
-    net::EndpointId client = 0;
     sim::Gate* done = nullptr;
   };
   struct ActiveFault {
@@ -438,10 +414,17 @@ class Pfs {
     return *files_[file];
   }
 
+  void record_writes(FileHandle file, std::span<const Extent> extents,
+                     std::uint32_t writer, std::uint64_t query) {
+    FileImage& image = file_state(file).image;
+    for (const Extent& extent : extents)
+      image.record_write(extent.offset, extent.length, writer, query);
+  }
+
   /// RAII lease on a pooled `GroupScratch`.  One scratch is checked out per
-  /// in-flight client operation (concurrent clients each hold their own)
-  /// and returned — capacity intact — when the operation's coroutine frame
-  /// is destroyed, after the fan-in completes.
+  /// in-flight fan-out (concurrent clients each hold their own) and
+  /// returned — capacity intact — when the fan-out's coroutine frame is
+  /// destroyed, after the fan-in completes.
   class ScratchLease {
    public:
     ScratchLease(Pfs& fs, GroupScratch& scratch) noexcept
@@ -472,76 +455,70 @@ class Pfs {
     return server_endpoint_base_ + server;
   }
 
-  /// One write round trip to one server: ship header + data, enqueue for
-  /// service, wait for the ack.  Awaited directly by strictly sequential
-  /// paths (POSIX per-extent writes) and wrapped in `issue_write` for
-  /// parallel fan-out.  Only the pair count and byte total cross the wire —
-  /// the server models cost, not content — so callers that already know the
-  /// request shape (a single-strip extent) skip decomposition entirely.
-  sim::Task<void> write_one(std::uint32_t server, net::EndpointId client,
-                            std::uint64_t pairs, std::uint64_t bytes) {
-    const std::uint64_t wire_bytes =
-        params_.request_header_bytes + params_.pair_header_bytes * pairs + bytes;
-    co_await network_->transfer(client, server_endpoint(server), wire_bytes);
+  /// One request round trip to one server: header, OL pairs and — for a
+  /// write — the data out; queue for service; the ack and — for a read —
+  /// the data back.  The only code that enqueues server requests.  Only
+  /// the pair count and byte total cross the wire: the server models cost,
+  /// not content.  Awaited directly it starts at once, with no scheduled
+  /// event; spawning it (`detached_round_trip`) costs one.
+  sim::Task<void> round_trip(RequestKind kind, std::uint32_t server,
+                             net::EndpointId client, std::uint64_t pairs,
+                             std::uint64_t bytes) {
+    const std::uint64_t out = params_.request_header_bytes +
+                              params_.pair_header_bytes * pairs +
+                              (kind == RequestKind::Write ? bytes : 0);
+    co_await network_->transfer(client, server_endpoint(server), out);
     sim::Gate serviced(*scheduler_);
-    ServerRequest request{.pairs = pairs, .bytes = bytes,
-                          .client = client, .done = &serviced};
-    servers_[server]->queue.push(request);
+    servers_[server]->queue.push(ServerRequest{kind, pairs, bytes, &serviced});
     co_await serviced.wait();
-    co_await network_->transfer(server_endpoint(server), client, params_.ack_bytes);
+    co_await network_->transfer(
+        server_endpoint(server), client,
+        params_.ack_bytes + (kind == RequestKind::Read ? bytes : 0));
   }
 
-  /// Adapter summing a scratch OL list into the (pairs, bytes) shape the
-  /// round trip needs.  Not a coroutine: the sizes are latched here, so the
-  /// returned task no longer references `pieces`.
-  [[nodiscard]] sim::Task<void> write_one(std::uint32_t server,
-                                          net::EndpointId client,
-                                          const std::vector<ServerPiece>& pieces) {
-    std::uint64_t bytes = 0;
-    for (const ServerPiece& piece : pieces) bytes += piece.length;
-    return write_one(server, client, pieces.size(), bytes);
-  }
-
-  /// Detached fan-out wrapper around `write_one` for multi-server writes.
-  sim::Process issue_write(std::uint32_t server, net::EndpointId client,
-                           const std::vector<ServerPiece>& pieces,
-                           sim::WaitGroup& done) {
-    co_await write_one(server, client, pieces);
+  /// `round_trip` as a spawned process, for parallel fan-out.
+  sim::Process detached_round_trip(RequestKind kind, std::uint32_t server,
+                                   net::EndpointId client, std::uint64_t pairs,
+                                   std::uint64_t bytes, sim::WaitGroup& done) {
+    co_await round_trip(kind, server, client, pairs, bytes);
     done.done();
   }
 
-  /// Client side of one read request: headers out, service, data back.
-  sim::Process issue_read(std::uint32_t server, net::EndpointId client,
-                          const std::vector<ServerPiece>& pieces,
-                          sim::WaitGroup& done) {
-    std::uint64_t bytes = 0;
-    for (const ServerPiece& piece : pieces) bytes += piece.length;
-    const std::uint64_t pairs = pieces.size();
-    const std::uint64_t request_bytes =
-        params_.request_header_bytes + params_.pair_header_bytes * pairs;
-    co_await network_->transfer(client, server_endpoint(server), request_bytes);
-    sim::Gate serviced(*scheduler_);
-    ServerRequest request{.pairs = pairs, .bytes = bytes,
-                          .client = client, .done = &serviced};
-    request.is_read = true;
-    servers_[server]->queue.push(request);
-    co_await serviced.wait();
-    co_await network_->transfer(server_endpoint(server), client,
-                                params_.ack_bytes + bytes);
-    done.done();
-  }
-
-  sim::Process issue_sync(std::uint32_t server, net::EndpointId client,
-                          sim::WaitGroup& done) {
-    co_await network_->transfer(client, server_endpoint(server),
-                                params_.request_header_bytes);
-    sim::Gate serviced(*scheduler_);
-    ServerRequest request{.is_sync = true, .client = client,
-                          .done = &serviced};
-    servers_[server]->queue.push(request);
-    co_await serviced.wait();
-    co_await network_->transfer(server_endpoint(server), client, params_.ack_bytes);
-    done.done();
+  /// Groups `extents` per server and sends one `kind` request carrying that
+  /// server's OL list to every server touched, each as its own spawned
+  /// process, and waits for all of them.  With `await_lone`, a lone
+  /// touched server's round trip is awaited directly instead (the POSIX
+  /// path's sequential cadence).  The scratch is pooled and completion goes
+  /// through one WaitGroup, so a fan-out allocates nothing in steady state.
+  /// Loops skip it for an empty list: a coroutine that finishes without
+  /// suspending resumes its caller by a call, not a tail call, in -O0 and
+  /// sanitizer builds, so a long run of them overflows the host stack.
+  sim::Task<void> fan_out(RequestKind kind, net::EndpointId client,
+                          std::span<const Extent> extents,
+                          bool await_lone = false) {
+    ScratchLease scratch = acquire_scratch();
+    params_.layout.group_by_server(extents, *scratch);
+    const auto& per_server = scratch->per_server;
+    const auto touches = [](const std::vector<ServerPiece>& pieces) {
+      return !pieces.empty();
+    };
+    const bool lone =
+        await_lone && std::ranges::count_if(per_server, touches) == 1;
+    sim::WaitGroup pending(*scheduler_);
+    for (std::uint32_t s = 0; s < per_server.size(); ++s) {
+      if (per_server[s].empty()) continue;
+      std::uint64_t bytes = 0;
+      for (const ServerPiece& piece : per_server[s]) bytes += piece.length;
+      if (lone) {
+        co_await round_trip(kind, s, client, per_server[s].size(), bytes);
+        co_return;
+      }
+      pending.add();
+      scheduler_->spawn(detached_round_trip(kind, s, client,
+                                            per_server[s].size(), bytes,
+                                            pending));
+    }
+    co_await pending.wait();
   }
 
   /// Degradation active at `now`: one-shot stall (taken on the first request
@@ -573,32 +550,36 @@ class Pfs {
   [[nodiscard]] sim::Time account_request(Server& server,
                                           const ServerRequest& request,
                                           double factor) {
-    if (request.is_sync) {
-      const sim::Time service =
-          degrade(params_.disk.sync_service_time(server.dirty_bytes), factor);
-      server.dirty_bytes = 0;
-      ++server.stats.syncs;
-      server.stats.busy += service;
-      return service;
+    ServerStats& stats = server.stats;
+    sim::Time service = 0;
+    switch (request.kind) {
+      case RequestKind::Sync:
+        service =
+            degrade(params_.disk.sync_service_time(server.dirty_bytes), factor);
+        server.dirty_bytes = 0;
+        ++stats.syncs;
+        break;
+      case RequestKind::Read:
+        // Reads have their own cost knobs (defaulting to the write model)
+        // and leave no dirty data.
+        service = degrade(
+            params_.disk.read_service_time(request.pairs, request.bytes),
+            factor);
+        ++stats.reads;
+        stats.read_pairs += request.pairs;
+        stats.read_bytes += request.bytes;
+        break;
+      case RequestKind::Write:
+        service = degrade(
+            params_.disk.write_service_time(request.pairs, request.bytes),
+            factor);
+        server.dirty_bytes += request.bytes;
+        ++stats.requests;
+        stats.pairs += request.pairs;
+        stats.bytes += request.bytes;
+        break;
     }
-    if (request.is_read) {
-      // Reads have their own cost knobs (defaulting to the write model)
-      // and leave no dirty data.
-      const sim::Time service = degrade(
-          params_.disk.read_service_time(request.pairs, request.bytes), factor);
-      ++server.stats.reads;
-      server.stats.read_pairs += request.pairs;
-      server.stats.read_bytes += request.bytes;
-      server.stats.busy += service;
-      return service;
-    }
-    const sim::Time service = degrade(
-        params_.disk.write_service_time(request.pairs, request.bytes), factor);
-    server.dirty_bytes += request.bytes;
-    ++server.stats.requests;
-    server.stats.pairs += request.pairs;
-    server.stats.bytes += request.bytes;
-    server.stats.busy += service;
+    stats.busy += service;
     return service;
   }
 
@@ -617,13 +598,10 @@ class Pfs {
       const sim::Time service = account_request(server, *request, factor);
       const sim::Time start = scheduler_->now();
       co_await scheduler_->delay(service);
-      if (observer_ != nullptr) {
-        const char kind =
-            request->is_sync ? 's' : (request->is_read ? 'r' : 'w');
-        observer_->on_request_serviced(index, kind, request->pairs,
-                                       request->bytes, start,
+      if (observer_ != nullptr)
+        observer_->on_request_serviced(index, static_cast<char>(request->kind),
+                                       request->pairs, request->bytes, start,
                                        scheduler_->now());
-      }
       request->done->open();
     }
   }
@@ -647,76 +625,105 @@ class Pfs {
 
   using LeaseSpan = std::pair<std::uint64_t, std::uint64_t>;
 
-  /// Rounds each extent out to lease granularity and returns the merged,
-  /// ascending spans `client` does not yet hold in `mode` (whole-span
-  /// check; the read path uses the granule-precise `read_lease_spans`).
-  [[nodiscard]] std::vector<LeaseSpan> uncovered_spans(
+  /// The lease spans `client` lacks in `mode` to cover `extents`, ascending
+  /// and merged.  Each extent is rounded out to lease granularity.  A write
+  /// checks the rounded span as a whole; a read checks it granule by
+  /// granule and asks only for the granules it lacks, since partial holds
+  /// are the common case for shared read leases.
+  [[nodiscard]] std::vector<LeaseSpan> lease_spans(
       FileHandle file, net::EndpointId client, TokenMode mode,
-      std::span<const Extent> extents) const;
+      std::span<const Extent> extents) const {
+    std::vector<LeaseSpan> needed;
+    const std::uint64_t granule = params_.cache.token_bytes;
+    const auto holder = static_cast<std::uint32_t>(client);
+    for (const Extent& extent : extents) {
+      if (extent.length == 0) continue;
+      const std::uint64_t first = extent.offset / granule * granule;
+      const std::uint64_t last =
+          (extent.end() + granule - 1) / granule * granule;
+      const std::uint64_t step =
+          mode == TokenMode::Read ? granule : last - first;
+      for (std::uint64_t begin = first; begin < last; begin += step)
+        if (!tokens_->covered(file, holder, mode, begin, begin + step))
+          needed.emplace_back(begin, begin + step);
+    }
+    std::sort(needed.begin(), needed.end());
+    std::vector<LeaseSpan> merged;
+    for (const LeaseSpan& span : needed) {
+      if (!merged.empty() && span.first <= merged.back().second)
+        merged.back().second = std::max(merged.back().second, span.second);
+      else
+        merged.push_back(span);
+    }
+    return merged;
+  }
 
-  /// The lease-acquisition round trip (caller holds the token service):
-  /// one request to the metadata server carrying one OL pair per span, the
-  /// metadata op, any revocation round trips, then the grant ack.
-  sim::Task<void> grant_spans(FileHandle file, net::EndpointId client,
-                              TokenMode mode,
-                              const std::vector<LeaseSpan>& spans);
+  /// Lease acquisition once a caller found spans missing: takes the
+  /// serialized token service into `hold`, re-checks, and grants what is
+  /// still missing — one request to the metadata server with one OL pair
+  /// per span, the metadata op, any revocation round trips, the ack.  The
+  /// caller keeps `hold` until it has absorbed or probed, so no competing
+  /// client can revoke in between.
+  sim::Task<void> grant_leases(FileHandle file, net::EndpointId client,
+                               TokenMode mode, std::span<const Extent> extents,
+                               std::optional<sim::ResourceHold>& hold) {
+    co_await token_service_->acquire();
+    hold.emplace(*token_service_);
+    const std::vector<LeaseSpan> spans =
+        lease_spans(file, client, mode, extents);
+    if (spans.empty()) co_return;
+    co_await network_->transfer(
+        client, server_endpoint_base_,
+        params_.request_header_bytes + params_.pair_header_bytes * spans.size());
+    account_metadata_op();
+    co_await scheduler_->delay(params_.metadata_op);
+    const auto holder = static_cast<std::uint32_t>(client);
+    for (const LeaseSpan& span : spans)
+      for (const TokenManager::Revocation& revocation :
+           tokens_->acquire(file, holder, mode, span.first, span.second))
+        co_await revoke_one(file, revocation);
+    co_await network_->transfer(server_endpoint_base_, client, params_.ack_bytes);
+  }
 
-  /// Write-lease acquisition + cache absorption for one extent batch.  The
-  /// whole lease-check → grant → absorb sequence runs under the serialized
-  /// token service when a grant is needed, so a competing client can never
-  /// revoke between our grant and our absorb; when the leases are already
-  /// held, check and absorb are synchronous (no suspension in between).
+  /// Write leases, then cache absorption, for one extent batch.  A token
+  /// service hold taken for a grant lasts until the batch is absorbed.
   sim::Task<void> absorb_batch(FileHandle file, net::EndpointId client,
                                std::span<const Extent> extents,
-                               std::uint32_t writer, std::uint64_t query);
-
-  /// Cached read of one contiguous range: delegates to `cache_read_list`
-  /// (pfs_read.hpp), the shared lease-symmetric read path.
-  sim::Task<void> cache_read(FileHandle file, net::EndpointId client,
-                             std::uint64_t offset, std::uint64_t length);
-
-  /// Cached list read: read-lease acquisition symmetric with
-  /// `absorb_batch` (granule-precise spans, double-checked under the
-  /// serialized token service), cache probe per extent, then one parallel
-  /// fetch of only the missing pieces.  Defined in pfs_read.hpp.
-  sim::Task<void> cache_read_list(FileHandle file, net::EndpointId client,
-                                  std::span<const Extent> extents);
-
-  /// Direct (cache-off) list read; accounts `bytes_read`.
-  sim::Task<void> direct_read_list(FileHandle file, net::EndpointId client,
-                                   std::span<const Extent> extents);
-
-  /// Granule-precise read-lease gaps: unlike the write path's whole-span
-  /// check, an extent spanning several token granules only requests the
-  /// granules the client does not already hold (partial holds are the
-  /// common case for shared read leases).
-  [[nodiscard]] std::vector<LeaseSpan> read_lease_spans(
-      FileHandle file, net::EndpointId client,
-      std::span<const Extent> extents) const;
-
-  /// One parallel read fan-out over the touched servers (no bytes_read
-  /// accounting — that belongs to the dispatching read path).
-  sim::Task<void> read_fanout(net::EndpointId client,
-                              std::span<const Extent> extents);
-
-  /// One parallel write fan-out (cost only; image recording is the
-  /// caller's job).
-  sim::Task<void> write_fanout(net::EndpointId client,
-                               std::span<const Extent> extents);
+                               std::uint32_t writer, std::uint64_t query) {
+    std::optional<sim::ResourceHold> hold;
+    if (!lease_spans(file, client, TokenMode::Write, extents).empty())
+      co_await grant_leases(file, client, TokenMode::Write, extents, hold);
+    ClientCache& cache = client_cache(client);
+    for (const Extent& extent : extents) cache.absorb_write(file, extent);
+    record_writes(file, extents, writer, query);
+  }
 
   /// One revocation round trip: metadata server → victim callback, the
   /// victim's dirty data in the range written back, victim → metadata ack.
   sim::Task<void> revoke_one(FileHandle file,
-                             const TokenManager::Revocation& revocation);
-
-  /// Ships one coalesced writeback run as a native list write (the data was
-  /// recorded in the file image at absorb time).
-  sim::Task<void> writeback_run(net::EndpointId client,
-                                const WritebackRun& run);
+                             const TokenManager::Revocation& revocation) {
+    const auto victim = static_cast<net::EndpointId>(revocation.client);
+    co_await network_->transfer(server_endpoint_base_, victim,
+                                params_.request_header_bytes);
+    WritebackRun run;
+    client_cache(victim).invalidate(file, revocation.begin, revocation.end, run);
+    if (!run.extents.empty())
+      co_await fan_out(RequestKind::Write, victim, run.extents);
+    co_await network_->transfer(victim, server_endpoint_base_,
+                                params_.ack_bytes);
+  }
 
   /// Flush-behind eviction loop: while over capacity, the LRU block's
   /// contiguous dirty run goes back to the servers in one list write.
-  sim::Task<void> drain_evictions(net::EndpointId client);
+  sim::Task<void> drain_evictions(net::EndpointId client) {
+    ClientCache& cache = client_cache(client);
+    while (cache.needs_eviction()) {
+      WritebackRun run;
+      cache.evict_one(run);
+      if (!run.extents.empty())
+        co_await fan_out(RequestKind::Write, client, run.extents);
+    }
+  }
 
   sim::Scheduler* scheduler_;
   net::Network* network_;
@@ -726,8 +733,8 @@ class Pfs {
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<FileState>> files_;
   /// Pool of extent-decomposition scratches (stable addresses; leases hand
-  /// out raw pointers).  Grows to the peak number of concurrent client
-  /// operations and is reused forever after.
+  /// out raw pointers).  Grows to the peak number of concurrent fan-outs
+  /// and is reused forever after.
   std::vector<std::unique_ptr<GroupScratch>> scratch_pool_;
   std::vector<GroupScratch*> free_scratch_;
   /// Cache layer (null unless params_.cache.enabled()).  The token service
@@ -741,8 +748,3 @@ class Pfs {
 };
 
 }  // namespace s3asim::pfs
-
-// Out-of-class definitions of the read-path and data-sieving members
-// (kept in a separate header so each file stays within the source-size
-// hygiene budget).
-#include "pfs/pfs_read.hpp"  // IWYU pragma: keep

@@ -42,7 +42,7 @@ struct PfsParams {
   std::vector<ServerDegradation> degradations;
   /// Client-side write-back cache + byte-range lease tokens (cache.hpp).
   /// Disabled by default (capacity 0): every client path ships extents
-  /// straight to the servers, byte-identical to pre-cache builds.
+  /// straight to the servers.
   CacheParams cache{};
 };
 

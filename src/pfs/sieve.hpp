@@ -15,8 +15,8 @@
 /// contents rather than garbage.
 ///
 /// `plan_sieve` is pure and deterministic: extents in, window plan out.
-/// The Pfs client paths (pfs_read.hpp) turn the plan into simulated
-/// transfers and the counters published as `pfs.sieve.*`.
+/// `Pfs::read_sieved` / `write_sieved` (pfs.hpp) turn the plan into
+/// simulated transfers and the counters published as `pfs.sieve.*`.
 
 #include <algorithm>
 #include <cstdint>
