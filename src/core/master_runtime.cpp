@@ -243,7 +243,7 @@ sim::Process master_process(App& app) {
     {
       const sim::Time merge_start = app.scheduler.now();
       const auto count = static_cast<sim::Time>(
-          app.workload.query(scores.query).by_fragment[scores.fragment].size());
+          app.workload.query(scores.query).by_fragment(scores.fragment).size());
       sim::Time merge_time = count * app.config.model.master_merge_per_entry;
       merge_time +=
           strategy.master_merge_extra(env, scores.query, scores.fragment);

@@ -13,7 +13,7 @@ std::vector<pfs::Extent> OffsetService::worker_extents(
   const std::uint64_t base = (*region_bases_)[local];
   std::vector<std::uint32_t> indices;
   for (const std::uint32_t fragment : fragments)
-    for (const std::uint32_t index : workload.by_fragment[fragment])
+    for (const std::uint32_t index : workload.by_fragment(fragment))
       indices.push_back(index);
   std::sort(indices.begin(), indices.end());
   std::vector<pfs::Extent> extents;

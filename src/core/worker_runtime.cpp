@@ -171,7 +171,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
     const std::uint64_t result_bytes =
         app.workload.fragment_result_bytes(query, fragment);
     const std::uint64_t count =
-        app.workload.query(query).by_fragment[fragment].size();
+        app.workload.query(query).by_fragment(fragment).size();
 
     // ---- Step 8: merge with previous results for this query. -----------
     if (strategy.worker_writes()) {
