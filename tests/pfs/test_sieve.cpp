@@ -79,8 +79,9 @@ void expect_plan_matches(std::span<const Extent> extents,
     EXPECT_LE(plan.windows[w].length, buffer);
     // Disjoint and ascending; adjacency happens when a run longer than
     // the buffer is split across consecutive windows.
-    if (w > 0)
+    if (w > 0) {
       EXPECT_GE(plan.windows[w].offset, plan.windows[w - 1].end());
+    }
     useful += expected[w].useful_bytes;
     transferred += expected[w].length;
     holes += expected[w].hole_bytes;
@@ -94,7 +95,7 @@ void expect_plan_matches(std::span<const Extent> extents,
 TEST(SievePlanTest, MatchesPerByteBruteForceOnRandomExtentLists) {
   util::Xoshiro256 rng(20060627);
   const std::uint64_t buffers[] = {1, 7, 64, 300, 4096};
-  for (int trial = 0; trial < 200; ++trial) {
+  for (std::size_t trial = 0; trial < 200; ++trial) {
     std::vector<Extent> extents;
     const std::size_t n = rng() % 12;
     for (std::size_t e = 0; e < n; ++e)
