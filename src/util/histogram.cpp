@@ -27,18 +27,20 @@ BoxHistogram::BoxHistogram(std::vector<HistogramBin> bins)
     min_ = std::min(min_, bin.lo);
     max_ = std::max(max_, bin.hi);
   }
-  S3A_REQUIRE_MSG(total_weight_ > 0.0, "histogram total weight must be > 0");
+  S3A_REQUIRE_MSG(total_weight_ > 0.0 && std::isfinite(total_weight_),
+                  "histogram total weight must be finite and > 0");
   mean_ = weighted_value_sum / total_weight_;
 }
 
 std::uint64_t BoxHistogram::sample(Xoshiro256& rng) const {
   S3A_REQUIRE_MSG(!bins_.empty(), "sampling an empty histogram");
   const double draw = rng.uniform() * total_weight_;
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), draw);
-  const auto idx = static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(it - cumulative_.begin(),
-                               static_cast<std::ptrdiff_t>(bins_.size()) - 1));
-  const auto& bin = bins_[idx];
+  // The bin is the number of cumulative weights <= draw: on this
+  // non-decreasing array that is the index upper_bound returns, counted
+  // without a branch.
+  std::size_t idx = 0;
+  for (const double edge : cumulative_) idx += edge <= draw ? 1 : 0;
+  const auto& bin = bins_[std::min(idx, bins_.size() - 1)];
   return rng.uniform_u64(bin.lo, bin.hi);
 }
 
