@@ -4,8 +4,11 @@
 #include <future>
 #include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/simulation.hpp"
+#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -13,19 +16,38 @@
 /// terminate, verify their output file exactly, account every task, keep
 /// per-rank phase sums equal to wall time, and rerun byte-identically on
 /// another thread — across every strategy, with and without the client
-/// cache, and over contiguous and interleaved databases read by every
-/// access method.
+/// cache, over multi-bin query and database histograms, and over
+/// contiguous and interleaved databases read by every access method.
 
 namespace {
 
 using namespace s3asim::core;
 using s3asim::mpiio::NoncontigMethod;
+using s3asim::util::BoxHistogram;
+using s3asim::util::HistogramBin;
 using s3asim::util::KiB;
 using s3asim::util::MiB;
 using s3asim::util::Xoshiro256;
 
 constexpr NoncontigMethod kReadMethods[] = {
     NoncontigMethod::Posix, NoncontigMethod::ListIo, NoncontigMethod::Sieve};
+
+/// One to five bins inside [lo, hi], each of zero weight with probability
+/// 0.3, with a positive total weight.
+BoxHistogram random_histogram(Xoshiro256& rng, std::uint64_t lo,
+                              std::uint64_t hi) {
+  std::vector<HistogramBin> bins(rng.uniform_u64(1, 5));
+  bool positive = false;
+  for (HistogramBin& bin : bins) {
+    const std::uint64_t a = rng.uniform_u64(lo, hi);
+    const std::uint64_t b = rng.uniform_u64(lo, hi);
+    bin = {std::min(a, b), std::max(a, b),
+           rng.uniform() < 0.3 ? 0.0 : 0.1 + rng.uniform() * 4.0};
+    positive = positive || bin.weight > 0.0;
+  }
+  if (!positive) bins[rng.uniform_u64(0, bins.size() - 1)].weight = 1.0;
+  return BoxHistogram{std::move(bins)};
+}
 
 SimConfig random_config(std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -48,10 +70,8 @@ SimConfig random_config(std::uint64_t seed) {
       config.workload.result_count_min +
       static_cast<std::uint32_t>(rng.uniform_u64(0, 50));
   config.workload.min_result_bytes = rng.uniform_u64(16, 2048);
-  config.workload.query_histogram =
-      s3asim::util::BoxHistogram{{{64, 4096, 1.0}}};
-  config.workload.database_histogram =
-      s3asim::util::BoxHistogram{{{64, 1 + rng.uniform_u64(64, 100'000), 1.0}}};
+  config.workload.query_histogram = random_histogram(rng, 64, 4096);
+  config.workload.database_histogram = random_histogram(rng, 64, 100'000);
 
   const std::uint64_t strip = 1ull << rng.uniform_u64(9, 17);  // 512 B–128 KiB
   const auto servers = static_cast<std::uint32_t>(rng.uniform_u64(1, 12));
