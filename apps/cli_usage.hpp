@@ -55,7 +55,8 @@ inline constexpr char kUsageText[] =
     "                      (schema s3asim-metrics-v1: config echo + counters,\n"
     "                      gauges, histograms, trace drop count)\n"
     "  --gantt             print an ASCII timeline\n"
-    "  --groups G          hybrid segmentation with G master/worker teams\n"
+    "  --groups G          hybrid segmentation: G master/worker teams of\n"
+    "                      procs/G ranks each (config key groups; default 1)\n"
     "  --jobs N            run N concurrent replicas of the simulation and\n"
     "                      fail unless their statistics are bit-identical\n"
     "                      (determinism self-check; default 1 = off)\n"

@@ -9,6 +9,7 @@
 ///
 /// Exit status: 0 on success with a verified output file, 1 otherwise.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +39,6 @@ void print_usage() { std::puts(s3asim::cli::kUsageText); }
 /// drop count, and the registry snapshot.  Validated by
 /// `obs::validate_metrics_manifest` (tests + obs_validate + CI).
 std::string render_manifest(const s3asim::core::SimConfig& config,
-                            std::uint32_t groups,
                             const s3asim::core::RunStats& stats,
                             const s3asim::trace::TraceLog* trace_log,
                             const s3asim::obs::Registry& registry) {
@@ -54,7 +54,7 @@ std::string render_manifest(const s3asim::core::SimConfig& config,
   json.key("nprocs");
   json.value(static_cast<std::uint64_t>(config.nprocs));
   json.key("groups");
-  json.value(static_cast<std::uint64_t>(groups));
+  json.value(static_cast<std::uint64_t>(config.groups));
   json.key("query_sync");
   json.value(config.query_sync);
   json.key("compute_speed");
@@ -80,6 +80,7 @@ std::string render_manifest(const s3asim::core::SimConfig& config,
 void print_effective_config(const s3asim::core::SimConfig& config) {
   using namespace s3asim;
   std::printf("nprocs            = %u\n", config.nprocs);
+  std::printf("groups            = %u\n", config.groups);
   std::printf("strategy          = %s\n", core::strategy_name(config.strategy));
   std::printf("query_sync        = %s\n", config.query_sync ? "true" : "false");
   std::printf("compute_speed     = %g\n", config.compute_speed);
@@ -117,7 +118,6 @@ int main(int argc, char** argv) {
   std::string fault_timeout;
   bool want_gantt = false;
   bool print_config_only = false;
-  std::uint32_t groups = 1;
   unsigned jobs = 1;
 
   for (int i = 1; i < argc; ++i) {
@@ -179,14 +179,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--gantt") {
       want_gantt = true;
     } else if (arg == "--groups") {
-      groups = static_cast<std::uint32_t>(std::atoi(next_value("--groups").c_str()));
+      overrides.push_back("groups = " + next_value("--groups"));
     } else if (arg == "--jobs") {
-      const int value = std::atoi(next_value("--jobs").c_str());
-      if (value < 1 || value > 64) {
-        std::fprintf(stderr, "error: --jobs expects 1..64\n");
+      const std::string value = next_value("--jobs");
+      const char* end = value.data() + value.size();
+      const auto parsed = std::from_chars(value.data(), end, jobs);
+      if (parsed.ec != std::errc{} || parsed.ptr != end || jobs < 1 ||
+          jobs > 64) {
+        std::fprintf(stderr, "error: --jobs expects 1..64, got '%s'\n",
+                     value.c_str());
         return 1;
       }
-      jobs = static_cast<unsigned>(value);
     } else if (arg == "--fault") {
       fault_spec = next_value("--fault");
     } else if (arg == "--fault-timeout") {
@@ -273,10 +276,6 @@ int main(int argc, char** argv) {
   const core::Observability observe{trace_ptr, metrics_ptr};
   if (!config.fault.empty())
     std::printf("fault plan            : %s\n", config.fault.describe().c_str());
-  if (jobs > 1 && config.fault.crash_at != fault::kNever) {
-    std::fprintf(stderr, "error: --jobs > 1 is not supported with a crash plan\n");
-    return 1;
-  }
 
   // Replica determinism self-check (--jobs N): N-1 extra copies of the run
   // execute concurrently *without* observability; their statistics must be
@@ -289,10 +288,7 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < replica_stats.size(); ++r) {
     replicas.emplace_back([&, r] {
       try {
-        const core::RunStats copy =
-            groups > 1 ? core::run_hybrid_simulation(config, groups)
-                       : core::run_simulation(config);
-        replica_stats[r] = copy.to_json();
+        replica_stats[r] = core::run_simulation(config).to_json();
       } catch (const std::exception& error) {
         replica_errors[r] = error.what();
       }
@@ -302,39 +298,21 @@ int main(int argc, char** argv) {
   core::RunStats stats;
   const auto host_start = std::chrono::steady_clock::now();
   try {
-    if (config.fault.crash_at != fault::kNever) {
-      // Whole-run crash: rerun from the last durably flushed query batch.
-      if (groups > 1) {
-        std::fprintf(stderr,
-                     "error: crash/resume is not supported with --groups\n");
-        return 1;
-      }
-      const core::ResumeOutcome outcome =
-          core::run_with_resume(config, observe);
-      if (outcome.crashed) {
-        std::printf(
-            "crashed at %.3f s; resumed from query %u "
-            "(%.3f s lost + %.3f s rerun = %.3f s total)\n",
-            outcome.crashed_seconds, outcome.resume_query,
-            outcome.crashed_seconds, outcome.resumed_seconds,
-            outcome.total_seconds);
-        stats = outcome.resume_query < config.workload.query_count
-                    ? outcome.resumed
-                    : outcome.full;
-      } else {
-        std::printf("crash time is past the end of the run; nothing lost\n");
-        stats = outcome.full;
-      }
-    } else {
-      stats = groups > 1
-                  ? core::run_hybrid_simulation(config, groups, observe)
-                  : core::run_simulation(config, observe);
-    }
+    stats = core::run_simulation(config, observe);
   } catch (const std::exception& error) {
     for (auto& replica : replicas) replica.join();
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
   }
+  const core::ResumeStats& resume = stats.resume;
+  if (resume.crashed)
+    std::printf(
+        "crashed at %.3f s; resumed from query %u "
+        "(%.3f s lost + %.3f s rerun = %.3f s total)\n",
+        resume.crashed_seconds, resume.resume_query, resume.crashed_seconds,
+        resume.resumed_seconds, resume.total_seconds);
+  else if (resume.enabled)
+    std::printf("crash time is past the end of the run; nothing lost\n");
 
   for (auto& replica : replicas) replica.join();
   if (jobs > 1) {
@@ -421,7 +399,7 @@ int main(int argc, char** argv) {
                    metrics_json_path.c_str());
       return 1;
     }
-    out << render_manifest(config, groups, stats, trace_ptr, registry) << '\n';
+    out << render_manifest(config, stats, trace_ptr, registry) << '\n';
     std::printf("metrics manifest written to %s\n", metrics_json_path.c_str());
   }
   if (!json_path.empty()) {

@@ -30,7 +30,8 @@ core::RunStats run_groups(core::Strategy strategy, std::uint32_t nprocs,
   config.nprocs = nprocs;
   config.workload.database_bytes = db_bytes;
   config.worker_memory_bytes = memory;
-  auto stats = core::run_hybrid_simulation(config, groups);
+  config.groups = groups;
+  auto stats = core::run_simulation(config);
   require_exact(stats);
   return stats;
 }

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   double baseline = 0.0;
   for (const std::uint32_t groups : {1u, 2u, 4u}) {
     if (procs % groups != 0 || procs / groups < 2) continue;
-    const auto stats = core::run_hybrid_simulation(config, groups);
+    config.groups = groups;
+    const auto stats = core::run_simulation(config);
     if (baseline == 0.0) baseline = stats.wall_seconds;
     table.add_row({std::to_string(groups),
                    std::to_string(procs / groups) + " ranks",

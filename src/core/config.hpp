@@ -200,8 +200,13 @@ struct ModelParams {
 
 /// One full simulation configuration.
 struct SimConfig {
-  /// Total MPI ranks: 1 master + (nprocs − 1) workers.
+  /// Total MPI ranks: 1 master + (nprocs − 1) workers per group.
   std::uint32_t nprocs = 16;
+  /// Master/worker groups (§5's hybrid query/database segmentation): the
+  /// ranks split into `groups` teams of nprocs/groups, group g runs queries
+  /// g, g+groups, … and writes its own output file.  1 = the paper's plain
+  /// database segmentation.  Config key `groups`, CLI `--groups`.
+  std::uint32_t groups = 1;
   Strategy strategy = Strategy::WWList;
   /// The paper's "query sync" option: all processes synchronize after the
   /// results of each query are written.
@@ -241,8 +246,8 @@ struct SimConfig {
   std::uint32_t aggregator_fanin = 4;
   /// Injected faults (empty = the paper's failure-free runs).  Worker faults
   /// switch the master to its recovery-capable scheduling loop; server
-  /// faults translate to pfs::ServerDegradation; `crash_at` drives
-  /// run_with_resume.
+  /// faults translate to pfs::ServerDegradation; `crash_at` makes
+  /// run_simulation resume from the last flushed batch.
   fault::FaultPlan fault{};
   /// Failure detector: a worker with outstanding work and no sign of life
   /// (no score received) for this long is declared dead and its outstanding

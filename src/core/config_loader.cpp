@@ -37,6 +37,11 @@ SimConfig load_config(const std::string& config_text) {
   // --- Run shape. -----------------------------------------------------------
   config.nprocs = static_cast<std::uint32_t>(
       keyval.get_int("nprocs", config.nprocs));
+  const std::int64_t groups = keyval.get_int("groups", config.groups);
+  if (groups < 1)
+    throw std::invalid_argument("key 'groups': must be at least 1 (got " +
+                                std::to_string(groups) + ")");
+  config.groups = static_cast<std::uint32_t>(groups);
   config.strategy =
       parse_strategy(keyval.get_string("strategy", strategy_name(config.strategy)));
   config.query_sync = keyval.get_bool("query_sync", config.query_sync);

@@ -16,7 +16,7 @@ namespace s3asim::core {
 /// Throws std::invalid_argument on malformed values or unrecognized keys.
 ///
 /// Recognized keys (all optional):
-///   nprocs, strategy, query_sync, compute_speed, queries_per_flush,
+///   nprocs, groups, strategy, query_sync, compute_speed, queries_per_flush,
 ///   sync_after_write, worker_memory, fragment_affinity, mw_nonblocking_io,
 ///   seed, query_count, fragment_count, result_count_min, result_count_max,
 ///   min_result_bytes, size_scale, database_bytes,

@@ -191,7 +191,7 @@ class WorkerRegistry {
 /// serving, membership changes under strategies whose collectives assume
 /// a fixed cohort (WW-Coll, WW-CollList, WW-Aggr), query_sync with a
 /// changing barrier cohort, and kill faults that fire before their
-/// target's scheduled join.  Called by the drivers before the World is
+/// target's scheduled join.  Called by run_simulation before the World is
 /// built, next to validate_fault_plan.
 void validate_membership(const SimConfig& config);
 

@@ -15,21 +15,22 @@ pfs::PfsParams faulted_pfs(const SimConfig& cfg) {
   return params;
 }
 
-World::World(const SimConfig& cfg, std::uint32_t ranks)
+World::World(const SimConfig& cfg)
     : config(cfg),
       workload(cfg.workload),
       scheduler(),
-      network(scheduler, ranks + cfg.model.pfs.layout.server_count(),
+      network(scheduler, cfg.nprocs + cfg.model.pfs.layout.server_count(),
               cfg.model.network),
-      comm(scheduler, network, ranks),
-      fs(scheduler, network, /*server_endpoint_base=*/ranks, faulted_pfs(cfg)),
-      rank_stats(ranks) {
+      comm(scheduler, network, cfg.nprocs),
+      fs(scheduler, network, /*server_endpoint_base=*/cfg.nprocs,
+         faulted_pfs(cfg)),
+      rank_stats(cfg.nprocs) {
   S3A_REQUIRE(cfg.compute_speed > 0.0);
   S3A_REQUIRE(cfg.queries_per_flush >= 1);
 }
 
 App::App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
-         std::vector<std::uint32_t> query_ids)
+         std::vector<std::uint32_t> query_ids, trace::TraceLog* phase_trace)
     : world(w),
       config(w.config),
       workload(w.workload),
@@ -38,6 +39,7 @@ App::App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
       comm(w.comm),
       fs(w.fs),
       rank_stats(w.rank_stats),
+      trace_log(phase_trace),
       master(master_rank),
       workers(std::move(worker_ranks)),
       queries(std::move(query_ids)),
@@ -92,13 +94,14 @@ App::App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
   }
   group_output_bytes = cursor;
 
-  // The group's I/O policy, behind its capability bundle.  The env's
-  // trace_log and file are wired later (launch_group / master setup).
+  // The group's I/O policy, behind its capability bundle.  The env's file
+  // is wired later (master setup).
   strategy = make_strategy(config.strategy);
   env = std::make_unique<StrategyEnv>(
       scheduler, config, comm, fs, network, master, workers, rank_stats,
       OffsetService(workload, queries, region_bases),
       ResultRouter(comm, config.model, master, queries));
+  env->trace_log = trace_log;
   env->per_query_msgs_to_all =
       config.query_sync || strategy->broadcasts_offsets();
   strategy->attach(*env);
@@ -117,10 +120,6 @@ sim::Time App::compute_time(std::uint32_t query, std::uint32_t fragment,
 }
 
 void launch_group(App& app) {
-  // The drivers assign the app's trace sink after construction (and the
-  // resume tail deliberately leaves it null); sync the strategies' view
-  // here, at the last host-side moment before simulated work starts.
-  app.env->trace_log = app.trace_log;
   app.scheduler.spawn(master_process(app));
   app.scheduler.spawn(master_request_pump(app));
   app.scheduler.spawn(master_scores_pump(app));

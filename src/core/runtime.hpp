@@ -43,7 +43,7 @@ namespace s3asim::core {
 /// Everything shared by all groups: the cluster, the file system, the
 /// deterministic workload, and the per-rank statistics.
 struct World {
-  World(const SimConfig& cfg, std::uint32_t ranks);
+  explicit World(const SimConfig& cfg);
 
   /// Arms the observability sinks (no-op for a default-constructed
   /// `Observability`): wires the PFS/MPI observer bridge, the scheduler
@@ -67,8 +67,9 @@ struct World {
 /// database segmentation (paper §5 future work) each group owns a slice of
 /// the queries, its own master, and its own output file.
 struct App {
+  /// `phase_trace` receives the group's phase intervals (null: untraced).
   App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
-      std::vector<std::uint32_t> query_ids);
+      std::vector<std::uint32_t> query_ids, trace::TraceLog* phase_trace);
 
   World& world;
   const SimConfig& config;
@@ -91,10 +92,8 @@ struct App {
   std::vector<std::uint64_t> region_bases;  ///< group-file offset per local query
   std::uint64_t group_output_bytes = 0;
 
-  /// The group's I/O policy and the capability bundle its hooks see.  The
-  /// env's trace_log is synced from `trace_log` in `launch_group` (drivers
-  /// assign the app's after construction — and the resume tail leaves it
-  /// null on purpose).
+  /// The group's I/O policy and the capability bundle its hooks see; the
+  /// env shares the app's `trace_log`.
   std::unique_ptr<IoStrategy> strategy;
   std::unique_ptr<StrategyEnv> env;
 

@@ -32,61 +32,31 @@ struct Observability {
   }
 };
 
-/// Runs one simulation to completion.
+/// Runs one simulation to completion: a single master/worker group, or
+/// `config.groups` of them (§5's hybrid query/database segmentation).  A
+/// planned crash (`config.fault.crash_at`) restarts from the last flushed
+/// query batch (§2) with a clean fault plan; the result is the statistics
+/// of the resumed tail (of the crash-free replay when no tail ran) plus
+/// the `resume` block.
+///
+/// Throws std::invalid_argument, naming the offending key, for every
+/// combination the driver does not support (validated before any
+/// simulated work).
 ///
 /// Invariants verified on return (see DESIGN.md §5):
 ///  * the output file is covered exactly [0, total) with zero overlap
 ///    (reported in RunStats; asserted by callers/tests);
 ///  * per-rank phase times sum to that rank's wall time.
 ///
-/// If `trace` is non-null, every phase interval of every rank is recorded.
+/// If `trace_log` is non-null, every phase interval of every rank is
+/// recorded.
 [[nodiscard]] RunStats run_simulation(const SimConfig& config,
                                       trace::TraceLog* trace_log = nullptr);
 
-/// As above, with full observability sinks (trace + metrics registry).
+/// As above, with full observability sinks (trace + metrics registry).  A
+/// crash run's counters accumulate across the crash-free replay and the
+/// resumed tail; the tail's phase intervals stay out of the trace.
 [[nodiscard]] RunStats run_simulation(const SimConfig& config,
                                       const Observability& observe);
-
-/// Hybrid query/database segmentation (§5 future work): the ranks are split
-/// into `groups` independent master/worker teams sharing the cluster and
-/// the file system; the queries are divided round-robin across teams
-/// (query segmentation), and each team database-segments its searches
-/// internally.  Each team writes its own output file.
-///
-/// Requirements: nprocs divisible by `groups`, ≥ 2 ranks per group, and at
-/// least one query per group.
-[[nodiscard]] RunStats run_hybrid_simulation(const SimConfig& config,
-                                             std::uint32_t groups,
-                                             trace::TraceLog* trace_log = nullptr);
-
-/// As above, with full observability sinks.
-[[nodiscard]] RunStats run_hybrid_simulation(const SimConfig& config,
-                                             std::uint32_t groups,
-                                             const Observability& observe);
-
-/// Result of a crash/resume experiment (`config.fault.crash_at`).
-struct ResumeOutcome {
-  bool crashed = false;          ///< the crash landed before completion
-  std::uint32_t resume_query = 0;  ///< first query recomputed after restart
-  double crashed_seconds = 0.0;  ///< simulated time lost to the failed run
-  double resumed_seconds = 0.0;  ///< wall time of the resumed tail run
-  double total_seconds = 0.0;    ///< crashed + resumed (or full wall if no crash)
-  RunStats full;     ///< the run replayed without the crash (baseline + batch timeline)
-  RunStats resumed;  ///< the tail run (valid only when crashed and work remained)
-};
-
-/// Driver-level resume-from-flush (the fault plan's `crash:at=T` clause):
-/// runs the workload, and if the crash time precedes completion, restarts
-/// from the last query batch whose results were durably flushed before the
-/// crash, re-running only the remaining queries (single-group runs only).
-/// Injected worker/server faults apply to the crashed attempt, not the
-/// clean restart.
-[[nodiscard]] ResumeOutcome run_with_resume(const SimConfig& config,
-                                            trace::TraceLog* trace_log = nullptr);
-
-/// As above, with full observability sinks (counters accumulate across the
-/// crashed attempt and the resumed tail).
-[[nodiscard]] ResumeOutcome run_with_resume(const SimConfig& config,
-                                            const Observability& observe);
 
 }  // namespace s3asim::core

@@ -110,6 +110,22 @@ std::string RunStats::to_json() const {
   json.value(faults.repaired_bytes);
   json.end_object();
 
+  if (resume.enabled) {
+    json.key("resume");
+    json.begin_object();
+    json.key("crashed");
+    json.value(resume.crashed);
+    json.key("resume_query");
+    json.value(static_cast<std::uint64_t>(resume.resume_query));
+    json.key("crashed_seconds");
+    json.value(resume.crashed_seconds);
+    json.key("resumed_seconds");
+    json.value(resume.resumed_seconds);
+    json.key("total_seconds");
+    json.value(resume.total_seconds);
+    json.end_object();
+  }
+
   if (serving.enabled) {
     json.key("serving");
     json.begin_object();

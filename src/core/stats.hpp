@@ -138,6 +138,20 @@ struct SieveRunStats {
   std::uint64_t write_transferred_bytes = 0;
 };
 
+/// Resume-from-flush aggregates (the fault plan's `crash:at=T` clause).
+/// `enabled` gates the JSON emission: a run with no planned crash emits no
+/// `resume` block, so crash-free dumps stay byte-identical.  The enclosing
+/// RunStats describe the reported run: the resumed tail when one ran, else
+/// the crash-free replay.
+struct ResumeStats {
+  bool enabled = false;            ///< a crash was planned
+  bool crashed = false;            ///< the crash landed before completion
+  std::uint32_t resume_query = 0;  ///< first query recomputed after restart
+  double crashed_seconds = 0.0;    ///< simulated time lost to the failed run
+  double resumed_seconds = 0.0;    ///< wall time of the resumed tail run
+  double total_seconds = 0.0;  ///< crashed + resumed (full wall if no crash)
+};
+
 struct RunStats {
   Strategy strategy = Strategy::MW;
   std::uint32_t nprocs = 0;
@@ -166,10 +180,11 @@ struct RunStats {
   MembershipStats membership;
   CacheRunStats cache;
   SieveRunStats sieve;
+  ResumeStats resume;
 
   /// Simulated second at which each flushed batch of queries became durable
-  /// (in query order).  run_with_resume uses this to find the last flushed
-  /// query boundary before a crash.
+  /// (in query order).  A crash run uses this to find the last flushed
+  /// query boundary before the crash.
   std::vector<double> batch_complete_seconds;
 
   /// Mean over worker ranks of a phase's time, in seconds (the worker-

@@ -136,8 +136,8 @@ struct StrategyEnv {
   /// The group's shared output file; set by the runtime during master
   /// setup, before any worker passes its setup receive.
   mpiio::File* file = nullptr;
-  /// Phase-interval sink; synced from the runtime at launch (null when the
-  /// run is untraced — resumed tail runs stay untraced by design).
+  /// Phase-interval sink; set with the group's (null when the run is
+  /// untraced — resumed tail runs stay untraced by design).
   trace::TraceLog* trace_log = nullptr;
   /// True when every worker receives a per-query offsets message
   /// (query-sync mode or a broadcasting strategy) — drives default routing.

@@ -74,6 +74,9 @@ TEST(CliUsageTest, GoldenText) {
   EXPECT_NE(text.find("ROMIO ind_rd_buffer_size"), std::string::npos);
   EXPECT_NE(text.find("docs/OBSERVABILITY.md"), std::string::npos);
   EXPECT_NE(text.find("crash => resume-from-flush"), std::string::npos);
+  EXPECT_NE(text.find("--groups G          hybrid segmentation: G master"),
+            std::string::npos);
+  EXPECT_NE(text.find("(config key groups; default 1)"), std::string::npos);
   EXPECT_NE(text.find("default 0 = closed batch"), std::string::npos);
   EXPECT_NE(text.find("fifo | wfq | priority"), std::string::npos);
   EXPECT_NE(text.find("--cache-size B      per-client write-back cache"),

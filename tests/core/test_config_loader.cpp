@@ -537,6 +537,26 @@ TEST(ConfigLoaderTest, NegativeMinWorkersRejectedNamingKey) {
   }
 }
 
+TEST(ConfigLoaderTest, GroupsKeyParsesAndDefaultsToOne) {
+  EXPECT_EQ(load_config("").groups, 1u);
+  EXPECT_EQ(load_config("nprocs = 8\ngroups = 4\n").groups, 4u);
+}
+
+TEST(ConfigLoaderTest, BadGroupsRejectedNamingKey) {
+  // Garbage and values below 1 fail at load time; a negative count must
+  // not wrap into a huge unsigned one.
+  for (const char* value : {"abc", "2x", "0", "-1"}) {
+    SCOPED_TRACE(value);
+    try {
+      (void)load_config(std::string("groups = ") + value + "\n");
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("'groups'"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 // validate_membership runs at simulation entry (the loader cannot see the
 // strategy/membership interaction until both are final).
 TEST(ConfigLoaderTest, JoinNamingUnknownSpeedClassListsKnownClasses) {

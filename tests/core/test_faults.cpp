@@ -246,8 +246,9 @@ TEST(ServerFaultTest, StallAppliesFromItsStartTime) {
 TEST(FaultHybridTest, DeathInOneGroupDoesNotCorruptTheOther) {
   auto config = fault_test_config(Strategy::WWList);
   config.nprocs = 6;  // two groups: masters 0 and 3
+  config.groups = 2;
   config.fault = fault::parse_fault_plan("kill:worker=4,at=500ms");
-  const auto stats = run_hybrid_simulation(config, 2);
+  const auto stats = run_simulation(config);
   EXPECT_TRUE(stats.file_exact) << stats.summary();
   EXPECT_EQ(stats.faults.workers_died, 1u);
 }
@@ -272,17 +273,20 @@ TEST(ResumeTest, CrashMidRunResumesFromLastFlushedBatch) {
   auto config = fault_test_config(Strategy::WWList);
   const auto baseline = run_simulation(config);
   config.fault.crash_at = fraction_of_wall(baseline.wall_seconds, 0.6);
-  const auto outcome = run_with_resume(config);
-  EXPECT_TRUE(outcome.crashed);
-  EXPECT_GT(outcome.resume_query, 0u);  // some batches were already durable
-  EXPECT_LT(outcome.resume_query, config.workload.query_count);
-  EXPECT_TRUE(outcome.resumed.file_exact) << outcome.resumed.summary();
-  EXPECT_NEAR(outcome.total_seconds,
-              outcome.crashed_seconds + outcome.resumed_seconds, 1e-9);
+  const auto stats = run_simulation(config);
+  const ResumeStats& resume = stats.resume;
+  EXPECT_TRUE(resume.crashed);
+  EXPECT_GT(resume.resume_query, 0u);  // some batches were already durable
+  EXPECT_LT(resume.resume_query, config.workload.query_count);
+  // The reported run is the resumed tail.
+  EXPECT_TRUE(stats.file_exact) << stats.summary();
+  EXPECT_DOUBLE_EQ(resume.resumed_seconds, stats.wall_seconds);
+  EXPECT_NEAR(resume.total_seconds,
+              resume.crashed_seconds + resume.resumed_seconds, 1e-9);
   // Redoing work costs more than one clean run, but resume beats restarting
   // from scratch (crash + full rerun).
-  EXPECT_GT(outcome.total_seconds, baseline.wall_seconds);
-  EXPECT_LT(outcome.resumed_seconds, baseline.wall_seconds);
+  EXPECT_GT(resume.total_seconds, baseline.wall_seconds);
+  EXPECT_LT(resume.resumed_seconds, baseline.wall_seconds);
 }
 
 TEST(ResumeTest, CrashAfterCompletionIsANoOp) {
@@ -290,18 +294,23 @@ TEST(ResumeTest, CrashAfterCompletionIsANoOp) {
   const auto baseline = run_simulation(config);
   config.fault.crash_at =
       fraction_of_wall(baseline.wall_seconds, 2.0);  // after the end
-  const auto outcome = run_with_resume(config);
-  EXPECT_FALSE(outcome.crashed);
-  EXPECT_DOUBLE_EQ(outcome.total_seconds, baseline.wall_seconds);
+  const auto stats = run_simulation(config);
+  EXPECT_TRUE(stats.resume.enabled);
+  EXPECT_FALSE(stats.resume.crashed);
+  EXPECT_DOUBLE_EQ(stats.resume.total_seconds, baseline.wall_seconds);
+  // The reported run is the crash-free replay, which is the baseline.
+  auto reported = stats;
+  reported.resume = ResumeStats{};
+  EXPECT_EQ(reported.to_json(), baseline.to_json());
 }
 
 TEST(ResumeTest, EarlyCrashRedoesEverything) {
   auto config = fault_test_config(Strategy::WWList);
   config.fault.crash_at = sim::milliseconds(1);  // before any flush
-  const auto outcome = run_with_resume(config);
-  EXPECT_TRUE(outcome.crashed);
-  EXPECT_EQ(outcome.resume_query, 0u);
-  EXPECT_TRUE(outcome.resumed.file_exact);
+  const auto stats = run_simulation(config);
+  EXPECT_TRUE(stats.resume.crashed);
+  EXPECT_EQ(stats.resume.resume_query, 0u);
+  EXPECT_TRUE(stats.file_exact);
 }
 
 TEST(ResumeTest, BatchCompletionTimesAreMonotone) {

@@ -73,7 +73,8 @@ TEST(FilePerProcessTest, DeterministicAndSeedStable) {
 TEST(FilePerProcessTest, WorksUnderHybridSegmentation) {
   auto config = nn_config();
   config.nprocs = 8;
-  const auto stats = run_hybrid_simulation(config, 2);
+  config.groups = 2;
+  const auto stats = run_simulation(config);
   EXPECT_TRUE(stats.file_exact);
 }
 

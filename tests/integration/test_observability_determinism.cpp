@@ -72,11 +72,11 @@ TEST(ObservabilityDeterminismTest, MetricsOnlyAndTraceOnlyAlsoIdentical) {
 TEST(ObservabilityDeterminismTest, HybridRunsUnperturbed) {
   auto config = test_config();
   config.nprocs = 8;
-  const std::string bare = run_hybrid_simulation(config, 2).to_json();
+  config.groups = 2;
+  const std::string bare = run_simulation(config).to_json();
   trace::TraceLog trace_log;
   obs::Registry registry;
-  const Observability observe{&trace_log, &registry};
-  EXPECT_EQ(bare, run_hybrid_simulation(config, 2, observe).to_json());
+  EXPECT_EQ(bare, run_observed(config, &trace_log, &registry).to_json());
 }
 
 TEST(ObservabilityDeterminismTest, FaultyRunsUnperturbed) {
@@ -95,17 +95,12 @@ TEST(ObservabilityDeterminismTest, FaultyRunsUnperturbed) {
 TEST(ObservabilityDeterminismTest, ResumeRunsUnperturbed) {
   auto config = test_config();
   config.fault = fault::parse_fault_plan("crash:at=0.02s");
-  const ResumeOutcome bare = run_with_resume(config);
+  const RunStats bare = run_simulation(config);
+  ASSERT_TRUE(bare.resume.crashed);
   trace::TraceLog trace_log;
   obs::Registry registry;
-  const Observability observe{&trace_log, &registry};
-  const ResumeOutcome observed = run_with_resume(config, observe);
-  EXPECT_EQ(bare.crashed, observed.crashed);
-  EXPECT_EQ(bare.resume_query, observed.resume_query);
-  EXPECT_EQ(bare.full.to_json(), observed.full.to_json());
-  if (bare.crashed && bare.resume_query < config.workload.query_count) {
-    EXPECT_EQ(bare.resumed.to_json(), observed.resumed.to_json());
-  }
+  EXPECT_EQ(bare.to_json(),
+            run_observed(config, &trace_log, &registry).to_json());
 }
 
 TEST(ObservabilityDeterminismTest, PublishedMetricsMatchRunStats) {

@@ -72,12 +72,9 @@ TEST(ThreadDeterminismTest, PaperConfig) {
 }
 
 TEST(ThreadDeterminismTest, HybridSegmentation) {
-  const SimConfig config = small_config();
-  const auto run = [&config] {
-    return core::run_hybrid_simulation(config, 2).to_json();
-  };
-  const std::string here = run();
-  EXPECT_EQ(on_thread(run), here);
+  SimConfig config = small_config();
+  config.groups = 2;
+  expect_thread_invariant(config);
 }
 
 TEST(ThreadDeterminismTest, WorkerFault) {
@@ -89,17 +86,8 @@ TEST(ThreadDeterminismTest, WorkerFault) {
 TEST(ThreadDeterminismTest, CrashResume) {
   SimConfig config = small_config();
   config.fault.crash_at = sim::milliseconds(2);
-  const core::ResumeOutcome here = core::run_with_resume(config);
-  const core::ResumeOutcome there =
-      on_thread([&config] { return core::run_with_resume(config); });
-  EXPECT_TRUE(here.crashed);
-  EXPECT_EQ(there.crashed, here.crashed);
-  EXPECT_EQ(there.resume_query, here.resume_query);
-  EXPECT_EQ(there.crashed_seconds, here.crashed_seconds);
-  EXPECT_EQ(there.resumed_seconds, here.resumed_seconds);
-  EXPECT_EQ(there.total_seconds, here.total_seconds);
-  EXPECT_EQ(there.full.to_json(), here.full.to_json());
-  EXPECT_EQ(there.resumed.to_json(), here.resumed.to_json());
+  EXPECT_TRUE(core::run_simulation(config).resume.crashed);
+  expect_thread_invariant(config);
 }
 
 TEST(ThreadDeterminismTest, OpenLoopServing) {
