@@ -16,8 +16,10 @@
 /// terminate, verify their output file exactly, account every task, keep
 /// per-rank phase sums equal to wall time, and rerun byte-identically on
 /// another thread — across every strategy, with and without the client
-/// cache, over multi-bin query and database histograms, and over
-/// contiguous and interleaved databases read by every access method.
+/// cache, over multi-bin query and database histograms, over contiguous
+/// and interleaved databases read by every access method, over hybrid
+/// group counts, and through whole-run crashes resumed from the last
+/// flushed batch.
 
 namespace {
 
@@ -28,6 +30,7 @@ using s3asim::util::HistogramBin;
 using s3asim::util::KiB;
 using s3asim::util::MiB;
 using s3asim::util::Xoshiro256;
+namespace sim = s3asim::sim;
 
 constexpr NoncontigMethod kReadMethods[] = {
     NoncontigMethod::Posix, NoncontigMethod::ListIo, NoncontigMethod::Sieve};
@@ -49,7 +52,14 @@ BoxHistogram random_histogram(Xoshiro256& rng, std::uint64_t lo,
   return BoxHistogram{std::move(bins)};
 }
 
-SimConfig random_config(std::uint64_t seed) {
+/// A sampled configuration and, when it plans a crash, the crash time as a
+/// fraction of the crash-free wall time (0 = no crash).
+struct Sample {
+  SimConfig config;
+  double crash_fraction = 0.0;
+};
+
+Sample random_sample(std::uint64_t seed) {
   Xoshiro256 rng(seed);
   SimConfig config;
   config.nprocs = static_cast<std::uint32_t>(rng.uniform_u64(2, 12));
@@ -100,13 +110,30 @@ SimConfig random_config(std::uint64_t seed) {
     }
   }
   if (rng.uniform() < 0.2) config.mw_nonblocking_io = true;
-  return config;
+
+  // Draws appended after the ones above keep every earlier field of a seed.
+  // Hybrid groups: a divisor of nprocs with at least two ranks per group
+  // and no more groups than queries.
+  std::vector<std::uint32_t> group_counts;
+  for (std::uint32_t g = 1; 2 * g <= config.nprocs; ++g)
+    if (config.nprocs % g == 0 && g <= config.workload.query_count)
+      group_counts.push_back(g);
+  config.groups = group_counts[rng.uniform_u64(0, group_counts.size() - 1)];
+  // A crash needs one group and no client cache (both reject it).
+  double crash_fraction = 0.0;
+  if (config.groups == 1 && !config.model.pfs.cache.enabled())
+    crash_fraction = 0.05 + rng.uniform() * 1.45;
+  return {config, crash_fraction};
 }
 
 class RandomConfigTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomConfigTest, TerminatesAndVerifies) {
-  const auto config = random_config(GetParam());
+  Sample sample = random_sample(GetParam());
+  SimConfig& config = sample.config;
+  if (sample.crash_fraction > 0.0)
+    config.fault.crash_at = sim::seconds(run_simulation(config).wall_seconds *
+                                         sample.crash_fraction);
   const auto stats = run_simulation(config);
 
   EXPECT_TRUE(stats.file_exact)
@@ -114,7 +141,8 @@ TEST_P(RandomConfigTest, TerminatesAndVerifies) {
       << " procs=" << config.nprocs << " sync=" << config.query_sync
       << " flush=" << config.queries_per_flush
       << " cache=" << config.model.pfs.cache.capacity_bytes
-      << " db_chunk=" << config.workload.db_chunk_bytes;
+      << " db_chunk=" << config.workload.db_chunk_bytes
+      << " groups=" << config.groups << " crash=" << sample.crash_fraction;
   EXPECT_EQ(stats.overlap_count, 0u);
 
   std::uint64_t tasks = 0;
@@ -122,7 +150,14 @@ TEST_P(RandomConfigTest, TerminatesAndVerifies) {
     tasks += rank.tasks_processed;
     EXPECT_EQ(rank.phases.total(), rank.wall);
   }
-  EXPECT_EQ(tasks, static_cast<std::uint64_t>(config.workload.query_count) *
+  // A resumed tail recomputes only the queries after the last flushed
+  // batch; every other run (no crash, a crash past the end, or one after
+  // the last flush) reports all tasks.
+  const std::uint32_t queries = config.workload.query_count;
+  const bool tail_ran =
+      stats.resume.crashed && stats.resume.resume_query < queries;
+  const std::uint32_t first = tail_ran ? stats.resume.resume_query : 0;
+  EXPECT_EQ(tasks, static_cast<std::uint64_t>(queries - first) *
                        config.workload.fragment_count);
 
   // Determinism: the same config reruns byte-identically on another
