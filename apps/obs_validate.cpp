@@ -7,7 +7,7 @@
 /// corresponding schema (`obs::validate_chrome_trace` /
 /// `obs::validate_metrics_manifest`).  Prints one line per violation and
 /// exits nonzero if any file fails to parse or validate.  CI runs this over
-/// the quick-bench exports so a malformed trace or manifest fails the build
+/// the bench job's exports so a malformed trace or manifest fails the build
 /// instead of a Perfetto session.
 ///
 /// --simulated-only (requires --metrics) additionally prints the manifest

@@ -122,7 +122,7 @@ IoRound pure_io_round(Method method, std::uint32_t clients,
 }
 
 /// Peak resident set of this process so far, in MiB (ru_maxrss is KiB on
-/// Linux) — recorded per benchmark so the quick-bench CI artifact tracks
+/// Linux) — recorded per benchmark so the bench CI artifact tracks
 /// allocation regressions alongside throughput.
 double peak_rss_mib() {
   rusage usage{};

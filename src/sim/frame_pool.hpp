@@ -12,7 +12,7 @@
 /// The pool is *thread-local*: a scheduler runs on exactly one thread, and a
 /// simulation allocates and frees all of its frames on that thread, so no
 /// synchronization is needed — which is what keeps concurrent sweep workers
-/// (bench::SweepRunner) scalable.  Frames must be freed on the thread that
+/// (bench::run_sweep) scalable.  Frames must be freed on the thread that
 /// allocated them; the single-threaded `Scheduler` guarantees this.
 
 #include <cstddef>

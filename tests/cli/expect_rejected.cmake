@@ -1,19 +1,18 @@
-# Runs the s3asim CLI on a tiny workload with `OPTION VALUE` and fails
-# unless it exits nonzero with an error naming the option ('name' or
-# --name).
+# Runs PROGRAM with ARGS (one string, split like a shell command line) and
+# fails unless it exits nonzero with a message on stderr matching EXPECT.
 #
-#   cmake -DS3ASIM=path/to/s3asim -DOPTION=--groups -DVALUE=abc \
-#         -P expect_rejected.cmake
+#   cmake -DPROGRAM=path/to/s3asim "-DARGS=--procs 4 --groups abc" \
+#         "-DEXPECT=error: .*'groups'" -P expect_rejected.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
-  COMMAND ${S3ASIM} --procs 4 --set query_count=2 ${OPTION} ${VALUE}
+  COMMAND ${PROGRAM} ${args}
   RESULT_VARIABLE status
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
-string(REGEX REPLACE "^--" "" name "${OPTION}")
 if(status EQUAL 0)
-  message(FATAL_ERROR "${OPTION} ${VALUE} was accepted:\n${out}")
+  message(FATAL_ERROR "'${ARGS}' was accepted:\n${out}")
 endif()
-if(NOT err MATCHES "error: .*('${name}'|${OPTION})")
+if(NOT err MATCHES "${EXPECT}")
   message(FATAL_ERROR
-    "${OPTION} ${VALUE} failed without naming the option:\n${err}")
+    "'${ARGS}' failed without a message matching '${EXPECT}':\n${err}")
 endif()

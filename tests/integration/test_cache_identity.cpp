@@ -11,8 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
-#include "bench/sweep.hpp"
+#include "bench/runner.hpp"
 #include "core/config.hpp"
 #include "core/simulation.hpp"
 #include "util/units.hpp"
@@ -86,16 +85,11 @@ TEST(CacheIdentityTest, SyncAfterWriteMatches) {
 TEST(CacheIdentityTest, JobsSweepMatchesSerialSweep) {
   // `--jobs 4` runs cache-enabled points on a thread pool; grid-order
   // results must be byte-identical to the serial sweep.
-  auto grid = [] {
-    std::vector<bench::SweepPoint> points;
-    for (const Strategy strategy : kCacheStrategies)
-      points.push_back({core::strategy_name(strategy), [strategy] {
-                          return core::run_simulation(cached_config(strategy));
-                        }});
-    return points;
-  };
-  const auto serial = bench::run_sweep(grid(), 1);
-  const auto parallel = bench::run_sweep(grid(), 4);
+  std::vector<bench::Point> grid;
+  for (const Strategy strategy : kCacheStrategies)
+    grid.push_back({core::strategy_name(strategy), cached_config(strategy)});
+  const auto serial = bench::run_sweep(grid, 1);
+  const auto parallel = bench::run_sweep(grid, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(parallel[i].stats.to_json(), serial[i].stats.to_json())

@@ -9,10 +9,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "bench/runner.hpp"
 #include "core/simulation.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -171,9 +172,10 @@ TEST(ObservabilityDeterminismTest, BenchCsvBytesIdenticalTracedVsUntraced) {
   obs::Registry registry;
   const RunStats traced = run_observed(config, &trace_log, &registry);
 
-  bench::print_phase_breakdown("untraced", "procs", {"5"}, {untraced},
-                               "obs_off");
-  bench::print_phase_breakdown("traced", "procs", {"5"}, {traced}, "obs_on");
+  bench::emit(bench::phase_table("untraced", "obs_off.csv", {"5"},
+                                 std::span(&untraced, 1)));
+  bench::emit(
+      bench::phase_table("traced", "obs_on.csv", {"5"}, std::span(&traced, 1)));
   EXPECT_EQ(slurp(dir + "/obs_off.csv"), slurp(dir + "/obs_on.csv"));
   ASSERT_EQ(::unsetenv("S3ASIM_RESULTS_DIR"), 0);
 }
