@@ -37,7 +37,10 @@ struct MasterState {
   std::uint64_t tasks_completed = 0;
   std::uint32_t done_sent = 0;
   /// Master's mirror of each worker's fragment cache (affinity scheduling).
-  std::map<mpi::Rank, FragmentCache> worker_caches;
+  std::vector<FragmentCache> worker_caches;
+  FragmentCache& cache_of(const App& app, mpi::Rank worker) {
+    return worker_caches[app.registry->position(worker)];
+  }
 
   /// Per local query: fragments completed and (worker, fragment) pairs.
   std::vector<std::uint32_t> fragments_done;
@@ -101,8 +104,8 @@ sim::Process master_process(App& app) {
   state.fragments_done.assign(queries, 0);
   state.contributors.assign(queries, {});
   state.done_frags.assign(queries, {});
-  for (const mpi::Rank worker : app.workers)
-    state.worker_caches.emplace(worker, FragmentCache(app.cache_capacity()));
+  state.worker_caches.assign(app.nworkers(),
+                             FragmentCache(app.cache_capacity()));
 
   // ---- Setup: create the output file, broadcast input variables. ---------
   {
@@ -158,9 +161,9 @@ sim::Process master_process(App& app) {
     std::size_t pick = 0;
     bool affinity_hit = false;
     if (app.config.fragment_affinity && app.models_database_io()) {
+      const FragmentCache& cache = state.cache_of(app, worker);
       for (std::size_t i = 0; i < state.pending_fragments.size(); ++i) {
-        if (state.worker_caches.at(worker).contains(
-                state.pending_fragments[i])) {
+        if (cache.contains(state.pending_fragments[i])) {
           pick = i;
           affinity_hit = true;
           break;
@@ -200,7 +203,7 @@ sim::Process master_process(App& app) {
     state.pending_fragments.erase(state.pending_fragments.begin() +
                                   static_cast<std::ptrdiff_t>(pick));
     if (app.models_database_io())
-      (void)state.worker_caches.at(worker).touch(task.fragment);
+      (void)state.cache_of(app, worker).touch(task.fragment);
     if (state.pending_fragments.empty()) ++state.next_query;
     ++state.tasks_assigned;
     return task;
@@ -296,7 +299,7 @@ sim::Process master_process(App& app) {
   auto handle_join = [&app, &state](mpi::Message event) -> sim::Task<void> {
     const auto& join = event.as<JoinMsg>();
     if (app.models_database_io())
-      (void)state.worker_caches.at(join.worker).touch(join.staged_fragment);
+      (void)state.cache_of(app, join.worker).touch(join.staged_fragment);
     MasterMsg reply;
     reply.kind = MasterMsg::Kind::Welcome;
     const sim::Time send_start = app.scheduler.now();
@@ -525,7 +528,7 @@ sim::Process master_process(App& app) {
         const Outstanding task = state.reassign.front();
         state.reassign.pop_front();
         if (app.models_database_io())
-          (void)state.worker_caches.at(worker).touch(task.fragment);
+          (void)state.cache_of(app, worker).touch(task.fragment);
         return task;
       }
       return fresh_task(worker);
@@ -662,7 +665,7 @@ sim::Process master_process(App& app) {
             ++cursor;
           } while (state.retired.contains(survivor));
           if (app.models_database_io())
-            (void)state.worker_caches.at(survivor).touch(task.fragment);
+            (void)state.cache_of(app, survivor).touch(task.fragment);
           co_await assign_task(survivor, task);
         }
       }

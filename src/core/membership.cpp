@@ -77,6 +77,9 @@ WorkerRegistry::WorkerRegistry(const MembershipConfig& membership,
   records_.reserve(workers.size());
   for (std::size_t position = 0; position < workers.size(); ++position) {
     const mpi::Rank rank = workers[position];
+    if (rank >= index_.size())
+      index_.resize(rank + std::size_t{1}, workers.size());
+    index_[rank] = position;
     WorkerRecord record;
     record.rank = rank;
     if (!pattern.empty()) record.class_index = pattern[position % pattern.size()];
@@ -117,14 +120,6 @@ WorkerRegistry::WorkerRegistry(const MembershipConfig& membership,
     records_.push_back(std::move(record));
   }
   peak_active_ = active_;
-}
-
-const WorkerRecord& WorkerRegistry::record(mpi::Rank rank) const {
-  for (const WorkerRecord& record : records_)
-    if (record.rank == rank) return record;
-  S3A_REQUIRE_MSG(false, "worker registry: rank " + std::to_string(rank) +
-                             " is not a worker of this group");
-  S3A_UNREACHABLE();
 }
 
 WorkerRecord& WorkerRegistry::mutable_record(mpi::Rank rank) {

@@ -39,6 +39,7 @@
 #include "core/config.hpp"
 #include "mpi/comm.hpp"
 #include "sim/time.hpp"
+#include "util/require.hpp"
 
 namespace s3asim::core {
 
@@ -86,8 +87,17 @@ class WorkerRegistry {
                  const std::vector<mpi::Rank>& workers, std::uint64_t seed,
                  double jitter);
 
-  // ---- Lookups. -----------------------------------------------------------
-  [[nodiscard]] const WorkerRecord& record(mpi::Rank rank) const;
+  // ---- Lookups (O(1): a rank-indexed table of record positions). ---------
+  [[nodiscard]] const WorkerRecord& record(mpi::Rank rank) const {
+    S3A_REQUIRE_MSG(rank < index_.size() && index_[rank] < records_.size(),
+                    "worker registry: rank " + std::to_string(rank) +
+                        " is not a worker of this group");
+    return records_[index_[rank]];
+  }
+  /// `rank`'s index in the worker list and so in per-worker tables.
+  [[nodiscard]] std::size_t position(mpi::Rank rank) const {
+    return static_cast<std::size_t>(&record(rank) - records_.data());
+  }
   [[nodiscard]] WorkerLifecycle state(mpi::Rank rank) const {
     return record(rank).state;
   }
@@ -161,6 +171,8 @@ class WorkerRegistry {
   [[nodiscard]] WorkerRecord& mutable_record(mpi::Rank rank);
 
   std::vector<WorkerRecord> records_;
+  /// rank -> index into `records_`; `records_.size()` marks a non-worker.
+  std::vector<std::size_t> index_;
   std::vector<SpeedClass> classes_;
   std::uint64_t epoch_ = 0;
   std::uint32_t participants_ = 0;

@@ -47,9 +47,8 @@ App::App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
   S3A_REQUIRE_MSG(!workers.empty(), "a group needs at least one worker");
   S3A_REQUIRE_MSG(!queries.empty() || config.serving.enabled(),
                   "a group needs at least one query");
-  for (const mpi::Rank rank : workers)
-    events.emplace(rank,
-                   std::make_unique<sim::Channel<mpi::Message>>(scheduler));
+  while (events.size() < workers.size())
+    events.push_back(std::make_unique<sim::Channel<mpi::Message>>(scheduler));
   request_wake = std::make_unique<sim::Channel<int>>(scheduler);
   scores_wake = std::make_unique<sim::Channel<int>>(scheduler);
   if (config.serving.enabled()) {

@@ -97,8 +97,9 @@ struct App {
   std::unique_ptr<IoStrategy> strategy;
   std::unique_ptr<StrategyEnv> env;
 
-  /// Per-worker inbound event queues fed by pump processes.
-  std::map<mpi::Rank, std::unique_ptr<sim::Channel<mpi::Message>>> events;
+  /// Per-worker inbound event queues fed by pump processes, in `workers`
+  /// order (worker `rank`'s is at `registry->position(rank)`).
+  std::vector<std::unique_ptr<sim::Channel<mpi::Message>>> events;
 
   /// Master-side priority split: Algorithm 1 *blocks* on work requests
   /// (step 3) and only *tests* score receives (step 10), so requests are

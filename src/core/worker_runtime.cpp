@@ -90,10 +90,10 @@ sim::Process worker_stream_pump(App& app, mpi::Rank rank) {
     if (message.cancelled) break;  // torn down at teardown (dead worker)
     const bool finish =
         message.as<MasterMsg>().kind == MasterMsg::Kind::Finish;
-    app.events.at(rank)->push(std::move(message));
+    app.events[app.registry->position(rank)]->push(std::move(message));
     if (finish) break;
   }
-  app.events.at(rank)->close();
+  app.events[app.registry->position(rank)]->close();
 }
 
 /// Sleeps until the planned kill time and injects a death event into the
@@ -104,7 +104,8 @@ sim::Process worker_reaper(App& app, mpi::Rank rank, sim::Time kill_at,
                            sim::Timer& timer) {
   timer.arm_at(kill_at);
   if (co_await timer.wait()) {
-    sim::Channel<mpi::Message>& events = *app.events.at(rank);
+    sim::Channel<mpi::Message>& events =
+        *app.events[app.registry->position(rank)];
     if (!events.closed())
       events.push(mpi::Message{.source = rank, .tag = kTagDeath});
   }
@@ -284,7 +285,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
 
   while (true) {
     const sim::Time wait_start = app.scheduler.now();
-    auto event = co_await app.events.at(rank)->pop();
+    auto event = co_await app.events[app.registry->position(rank)]->pop();
     const sim::Time wait_end = app.scheduler.now();
     if (!event) break;  // stream closed right after Finish
     if (event->tag == kTagDeath) {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +56,25 @@ TEST(WorkerRegistryTest, FixedClusterStartsFullyActive) {
     EXPECT_FALSE(record.initially_standby);
     EXPECT_TRUE(registry.is_dispatchable(record.rank));
   }
+}
+
+TEST(WorkerRegistryTest, RecordRejectsNonMembers) {
+  // A sparse worker set: ranks below, between and past the members are not
+  // workers of this group, and each lookup names the rank it rejects.
+  const MembershipConfig membership;
+  const WorkerRegistry registry(membership, {1, 3, 5}, 1, 0.0);
+  for (const s3asim::mpi::Rank rank : {0u, 2u, 6u, 1000u}) {
+    try {
+      (void)registry.record(rank);
+      ADD_FAILURE() << "record(" << rank << ") did not throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("rank " + std::to_string(rank) + " is not a worker"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_EQ(registry.record(3).rank, 3u);
 }
 
 TEST(WorkerRegistryTest, EpochBumpsOnEveryAcceptedTransitionOnly) {

@@ -79,7 +79,9 @@ TEST(EventQueueTest, RandomInterleavedPushPopKeepsTotalOrder) {
   // Property test: interleave pushes (at >= current dispatch time, as the
   // scheduler guarantees) with pops and compare every popped event against
   // an ordered reference.  Same-instant pushes exercise the lane, the
-  // other deltas the heap.
+  // other deltas the heap.  The 1–1,000 ns class lands ahead of the other
+  // heap classes (at least 7,500 ns out), so many of its pushes are a new
+  // minimum and take the front slot.
   s3asim::util::Xoshiro256 rng(99);
   EventQueue queue;
   std::set<RefEntry> reference;  // not yet popped
@@ -93,11 +95,12 @@ TEST(EventQueueTest, RandomInterleavedPushPopKeepsTotalOrder) {
     const bool push = queue.empty() || (rng() % 8) < (push_heavy ? 5u : 3u);
     if (push) {
       Time delta = 0;
-      switch (rng() % 5) {
+      switch (rng() % 6) {
         case 0: delta = 0; break;
         case 1: delta = 1; break;
-        case 2: delta = static_cast<Time>(rng() % 100'000); break;  // ns–µs
-        case 3: delta = static_cast<Time>(rng() % 10'000'000); break;  // ms
+        case 2: delta = 1 + static_cast<Time>(rng() % 1'000); break;  // front
+        case 3: delta = 7'500 + static_cast<Time>(rng() % 92'500); break;
+        case 4: delta = 7'500 + static_cast<Time>(rng() % 10'000'000); break;
         default:
           delta = (Time{1} << 36) + static_cast<Time>(rng() % 1'000'000);
       }
@@ -156,6 +159,24 @@ TEST(EventQueueTest, EarlierPushesAfterAStaleFarFutureEntryKeepOrder) {
   for (const Time at : {Time{0}, Time{50}, Time{100}, kFar})
     push(queue, expected, at, seq);
   expect_fifo_order(queue, std::move(expected));
+}
+
+TEST(EventQueueTest, FrontSlotYieldsToEarlierPushesAndCountsInTopAndSize) {
+  // Off the lane's instant (t=0): t=50 takes the empty front slot, t=40
+  // displaces it into the heap, and a later t=40 (higher seq) sorts behind
+  // the slot's entry.
+  EventQueue queue;
+  queue.push({50, 0, {}, kNoCancelSlot, 0});
+  EXPECT_EQ(queue.top().seq, 0u);
+  EXPECT_EQ(queue.size(), 1u);
+  queue.push({40, 1, {}, kNoCancelSlot, 0});
+  EXPECT_EQ(queue.top().at, Time{40});
+  EXPECT_EQ(queue.top().seq, 1u);
+  EXPECT_EQ(queue.size(), 2u);
+  queue.push({40, 2, {}, kNoCancelSlot, 0});
+  EXPECT_EQ(queue.top().seq, 1u);
+  EXPECT_EQ(queue.size(), 3u);
+  expect_fifo_order(queue, {{40, 1}, {40, 2}, {50, 0}});
 }
 
 TEST(EventQueueTest, SizeTracksPushesAndPops) {
@@ -221,6 +242,37 @@ TEST(EventQueueTest, CancelledEntriesAreSkippedWithoutAdvancingTime) {
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], (std::pair<Time, bool>{10, false}));
   EXPECT_EQ(sched.now(), 10);  // never visited the cancelled deadline
+}
+
+TEST(EventQueueTest, CancelledFrontSlotEntryIsSkippedWithoutAdvancingTime) {
+  // The waiter's deadline entry (t=100) is the only pending entry off the
+  // lane, so it sits in the front slot when the canceller disarms the timer
+  // at t=0.  run() must discard it there and leave now() at 0; a later
+  // spawn still dispatches at its own time.
+  Scheduler sched;
+  Timer timer(sched);
+  std::vector<std::pair<Time, bool>> log;
+  auto waiter = [](Scheduler& s, Timer& t,
+                   std::vector<std::pair<Time, bool>>& out) -> Process {
+    t.arm_in(100);
+    const bool fired = co_await t.wait();
+    out.emplace_back(s.now(), fired);
+  };
+  auto canceller = [](Timer& t) -> Process {
+    t.cancel();
+    co_return;
+  };
+  sched.spawn(waiter(sched, timer, log));
+  sched.spawn(canceller(timer));
+  sched.run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], (std::pair<Time, bool>{0, false}));
+  EXPECT_EQ(sched.now(), 0);
+  std::vector<std::pair<Time, int>> later;
+  sched.spawn(record_at(sched, 5, 0, later));
+  sched.run();
+  ASSERT_EQ(later.size(), 1u);
+  EXPECT_EQ(later[0], (std::pair<Time, int>{5, 0}));
 }
 
 TEST(EventQueueTest, SchedulingAfterASkippedCancelledEntryKeepsOrder) {
