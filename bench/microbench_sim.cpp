@@ -26,9 +26,9 @@ using sim::Scheduler;
 
 // --- Kernel fast-path benchmarks (ISSUE 2 acceptance targets) ---------------
 // "Schedule/run churn": N interleaved processes each awaiting a child Task
-// per step — the dominant pattern in the simulator, where every MPI and I/O
-// operation is a Task.  Exercises the coroutine-frame allocator and the
-// event queue together with a live heap of ~N entries.
+// per step — the dominant pattern in the simulator, where every I/O
+// operation and network transfer is a Task.  Exercises the coroutine-frame
+// allocator and the event queue together with a live heap of ~N entries.
 void BM_ScheduleRunChurn(benchmark::State& state) {
   const auto procs = static_cast<int>(state.range(0));
   constexpr int kSteps = 64;
@@ -240,6 +240,39 @@ void BM_MpiSendRecvPairs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_MpiSendRecvPairs)->Arg(10'000);
+
+// MW's score traffic: N worker ranks each post (fire-and-forget) their
+// messages to rank 0, paying the per-message initiation cost between
+// posts, while rank 0 receives them with kAnySource.  Exercises deliver,
+// RX serialization at one NIC, and wildcard matching against the posted
+// receive or the unexpected queue.
+void BM_MpiPostManyToOne(benchmark::State& state) {
+  const auto senders = static_cast<mpi::Rank>(state.range(0));
+  constexpr int kPerSender = 64;
+  for (auto _ : state) {
+    Scheduler sched;
+    net::Network network(sched, senders + 1);
+    mpi::Comm comm(sched, network, senders + 1);
+    auto sender = [](Scheduler& s, mpi::Comm& c, mpi::Rank rank,
+                     sim::Time gap) -> Process {
+      for (int i = 0; i < kPerSender; ++i) {
+        c.post(rank, 0, 1, 256);
+        co_await s.delay(gap);
+      }
+    };
+    auto receiver = [](mpi::Comm& c, int n) -> Process {
+      for (int i = 0; i < n; ++i)
+        (void)co_await c.recv(0, mpi::kAnySource, 1);
+    };
+    const sim::Time gap = network.params().per_message_overhead;
+    for (mpi::Rank rank = 1; rank <= senders; ++rank)
+      sched.spawn(sender(sched, comm, rank, gap));
+    sched.spawn(receiver(comm, static_cast<int>(senders) * kPerSender));
+    benchmark::DoNotOptimize(sched.run());
+  }
+  state.SetItemsProcessed(state.iterations() * senders * kPerSender);
+}
+BENCHMARK(BM_MpiPostManyToOne)->Arg(16)->Arg(96);
 
 }  // namespace
 

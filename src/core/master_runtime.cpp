@@ -224,8 +224,7 @@ sim::Process master_process(App& app) {
   // that completed, in query order (steps 14–18).
   auto handle_score = [&app, &state, &strategy, &env, fragments, &arm_probe,
                        &disarm_probe]() -> sim::Task<void> {
-    mpi::Message event = std::move(app.master_scores.front());
-    app.master_scores.pop_front();
+    mpi::Message event = app.master_scores.pop_front();
     S3A_CHECK(event.tag == kTagScores);
     const auto& scores = event.as<ScoresMsg>();
     if (app.recovery_mode) {
@@ -440,8 +439,7 @@ sim::Process master_process(App& app) {
       app.record_phase(app.master, Phase::DataDistribution, wait_start,
                        app.scheduler.now());
       while (!app.master_requests.empty()) {
-        mpi::Message event = std::move(app.master_requests.front());
-        app.master_requests.pop_front();
+        mpi::Message event = app.master_requests.pop_front();
         // An arrival notice carries no reply of its own; the feed_parked
         // pass below reacts to the new (or newly closed) stream state.
         if (event.tag == kTagArrival) continue;
@@ -481,8 +479,7 @@ sim::Process master_process(App& app) {
 
         // ---- Steps 4-9: assign work or notify completion. ----------------
         S3A_CHECK(!app.master_requests.empty());
-        mpi::Message event = std::move(app.master_requests.front());
-        app.master_requests.pop_front();
+        mpi::Message event = app.master_requests.pop_front();
         const mpi::Rank worker = event.source;
         const sim::Time send_start = app.scheduler.now();
         MasterMsg reply;
@@ -582,8 +579,8 @@ sim::Process master_process(App& app) {
       // A score from this worker may already be queued (in-flight when the
       // timer expired): treat it as a sign of life and give it another
       // detection window instead of retiring.
-      for (const mpi::Message& queued : app.master_scores) {
-        if (queued.as<ScoresMsg>().worker == worker) {
+      for (std::size_t i = 0; i < app.master_scores.size(); ++i) {
+        if (app.master_scores[i].as<ScoresMsg>().worker == worker) {
           arm_probe(worker);
           co_return;
         }
@@ -680,8 +677,7 @@ sim::Process master_process(App& app) {
                        app.scheduler.now());
       // Requests (and failure notices) before scores, as in Algorithm 1.
       while (!app.master_requests.empty()) {
-        mpi::Message event = std::move(app.master_requests.front());
-        app.master_requests.pop_front();
+        mpi::Message event = app.master_requests.pop_front();
         if (event.tag == kTagFailure) {
           co_await handle_failure(event.source);
         } else if (event.tag == kTagJoin) {
@@ -715,8 +711,8 @@ sim::Process master_process(App& app) {
   for (const mpi::Rank worker : app.workers) {
     MasterMsg msg;
     msg.kind = MasterMsg::Kind::Finish;
-    (void)app.comm.isend(app.master, worker, kTagMasterToWorker,
-                         app.config.model.control_message_bytes, msg);
+    app.comm.post(app.master, worker, kTagMasterToWorker,
+                  app.config.model.control_message_bytes, msg);
   }
   {
     const sim::Time barrier_start = app.scheduler.now();

@@ -10,7 +10,6 @@
 /// public simulation API (that is simulation.hpp).
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -27,6 +26,7 @@
 #include "pfs/pfs.hpp"
 #include "sim/barrier.hpp"
 #include "sim/channel.hpp"
+#include "sim/fifo_ring.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/task.hpp"
 #include "sim/timer.hpp"
@@ -105,8 +105,8 @@ struct App {
   /// (step 3) and only *tests* score receives (step 10), so requests are
   /// served before queued score processing.  Pumps deposit messages here
   /// and push a wake token into the matching wake channel.
-  std::deque<mpi::Message> master_requests;
-  std::deque<mpi::Message> master_scores;
+  sim::FifoRing<mpi::Message> master_requests;
+  sim::FifoRing<mpi::Message> master_scores;
   std::unique_ptr<sim::Channel<int>> request_wake;
   std::unique_ptr<sim::Channel<int>> scores_wake;
 

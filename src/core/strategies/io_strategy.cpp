@@ -39,8 +39,7 @@ void ResultRouter::send_offsets(mpi::Rank worker, std::uint32_t local,
   const std::uint64_t bytes =
       model_->control_message_bytes +
       model_->bytes_per_offset_entry * msg.extents.size();
-  (void)comm_->isend(master_, worker, kTagMasterToWorker, bytes,
-                     std::move(msg));
+  comm_->post(master_, worker, kTagMasterToWorker, bytes, std::move(msg));
 }
 
 sim::Task<void> IoStrategy::master_setup(StrategyEnv& env) {

@@ -90,9 +90,9 @@ class ResultRouter {
                const std::vector<std::uint32_t>& queries)
       : comm_(&comm), model_(&model), master_(master), queries_(&queries) {}
 
-  /// Fire-and-forget isend of local query `local`'s offset list to
-  /// `worker`; an empty list is a per-query notification (MW/N-N sync
-  /// modes).
+  /// Fire-and-forget send (`Comm::post`) of local query `local`'s offset
+  /// list to `worker`; an empty list is a per-query notification (MW/N-N
+  /// sync modes).
   void send_offsets(mpi::Rank worker, std::uint32_t local,
                     std::vector<pfs::Extent> extents) const;
 

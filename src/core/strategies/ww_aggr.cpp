@@ -77,8 +77,8 @@ class WwAggrStrategy final : public IoStrategy {
       const std::uint64_t wire_bytes =
           model.control_message_bytes +
           model.bytes_per_offset_entry * msg.extents.size() + data_bytes;
-      (void)env.comm.isend(rank, env.workers[group_first], kTagStrategy,
-                           wire_bytes, std::move(msg));
+      env.comm.post(rank, env.workers[group_first], kTagStrategy, wire_bytes,
+                    std::move(msg));
       // MPI_Isend initiation cost; the transfer itself is asynchronous.
       co_await env.scheduler.delay(model.network.per_message_overhead);
       env.record_phase(rank, Phase::Io, start, env.now());

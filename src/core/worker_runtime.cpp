@@ -42,11 +42,11 @@ struct WorkerState {
 };
 
 /// Injected score-message latency: holds the payload back before it enters
-/// the network (the isend itself then models the transfer as usual).
+/// the network (the post itself then models the transfer as usual).
 sim::Process delayed_score_send(App& app, mpi::Rank rank, sim::Time by,
                                 std::uint64_t bytes, ScoresMsg scores) {
   co_await app.scheduler.delay(by);
-  (void)app.comm.isend(rank, app.master, kTagScores, bytes, scores);
+  app.comm.post(rank, app.master, kTagScores, bytes, scores);
 }
 
 /// Hands the accumulated extents to the strategy's write path, then joins
@@ -211,7 +211,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
                  hold > 0) {
         app.scheduler.spawn(delayed_score_send(app, rank, hold, bytes, scores));
       } else {
-        (void)app.comm.isend(rank, app.master, kTagScores, bytes, scores);
+        app.comm.post(rank, app.master, kTagScores, bytes, scores);
       }
       // MPI_Isend initiation cost; the transfer itself is asynchronous.
       co_await app.scheduler.delay(model.network.per_message_overhead);

@@ -5,18 +5,36 @@
 ///
 /// Semantics follow the MPI point-to-point model closely enough to express
 /// the paper's Algorithms 1 and 2 verbatim:
-///  * `isend` returns immediately; the request completes when the message
-///    has fully arrived at the destination NIC (conservative: between eager
-///    and rendezvous; only waiters observe the difference).
-///  * `irecv` matches against the unexpected-message queue first, then is
-///    posted; matching is (source, tag) with wildcards, FIFO within a pair
-///    (MPI's non-overtaking rule for identical envelopes).
-///  * `test` is a free, instantaneous completion check (MPI_Test).
-///  * `wait` suspends until completion (MPI_Wait).
+///  * `send` (MPI_Send) suspends until the message has fully arrived at the
+///    destination NIC (conservative: between eager and rendezvous).
+///  * `recv` (MPI_Recv) matches against the unexpected-message queue first,
+///    then is posted; matching is (source, tag) with wildcards, FIFO within
+///    a pair (MPI's non-overtaking rule for identical envelopes).
+///  * `post` is MPI_Isend followed by MPI_Request_free: the message goes
+///    out exactly as a `send`'s would, and nobody can wait for it.
+///  * `isend`/`irecv` return a `Request`; `test` is a free, instantaneous
+///    completion check (MPI_Test) and `wait`/`wait_all` suspend until
+///    completion (MPI_Wait/MPI_Waitall).
 ///  * `barrier` is a dissemination-style barrier: all ranks arrive, then pay
 ///    ceil(log2(P)) network latencies.
+///
+/// Who owns completion state.  `send` and `recv` return awaiters, not
+/// child coroutines: the `co_await` keeps the awaiter (a `sim::Gate` for a
+/// send; a `RequestState`, i.e. the gate plus the slot the matched message
+/// lands in, for a receive) in the awaiting coroutine's frame, and the
+/// delivery process or posted-receive entry points at it.  Completion
+/// opens that gate, which resumes the awaiting coroutine directly.  A
+/// receive found in the unexpected queue completes in `await_ready`
+/// without suspending, so draining a backlog costs no event and no stack.
+/// A posted receive must complete (or be cancelled by `cancel_posted`)
+/// before its awaiting frame is destroyed.  Only `isend`/`irecv` allocate
+/// completion state: their `Request` is shared with the delivery process
+/// or the posted entry until completion, so a caller may drop it early.
+///
+/// Every entry point validates its ranks and tags at the call.
 
 #include <cmath>
+#include <coroutine>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -62,46 +80,110 @@ class Comm {
 
   [[nodiscard]] Rank size() const noexcept { return size_; }
 
-  /// Nonblocking send of `bytes` with a structured payload.
+  /// Awaiter of a blocking send; see `send`.  It is neither copyable nor
+  /// movable, so `done_` keeps the address `deliver` was created with.
+  class [[nodiscard]] SendAwaiter {
+   public:
+    SendAwaiter(const SendAwaiter&) = delete;
+    SendAwaiter& operator=(const SendAwaiter&) = delete;
+
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> handle) {
+      scheduler_->spawn(std::move(delivery_));
+      done_.wait().await_suspend(handle);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    friend class Comm;
+    SendAwaiter(Comm& comm, Rank src, Rank dst, Tag tag, std::uint64_t bytes,
+                Payload payload)
+        : scheduler_(comm.scheduler_),
+          done_(*comm.scheduler_),
+          delivery_(comm.deliver(src, dst, tag, bytes, std::move(payload),
+                                 &done_, nullptr)) {}
+
+    sim::Scheduler* scheduler_;
+    sim::Gate done_;
+    sim::Process delivery_;  ///< not started until `await_suspend`
+  };
+
+  /// Awaiter of a blocking receive; see `recv`.
+  class [[nodiscard]] RecvAwaiter {
+   public:
+    RecvAwaiter(const RecvAwaiter&) = delete;
+    RecvAwaiter& operator=(const RecvAwaiter&) = delete;
+
+    [[nodiscard]] bool await_ready() {
+      return comm_->take_unexpected(self_, source_, tag_, slot_.message);
+    }
+    void await_suspend(std::coroutine_handle<> handle) {
+      comm_->mailboxes_[self_].posted.push_back(
+          PostedRecv{source_, tag_, &slot_, nullptr});
+      slot_.gate().wait().await_suspend(handle);
+    }
+    Message await_resume() noexcept { return std::move(slot_.message); }
+
+   private:
+    friend class Comm;
+    RecvAwaiter(Comm& comm, Rank self, Rank source, Tag tag)
+        : comm_(&comm),
+          self_(self),
+          source_(source),
+          tag_(tag),
+          slot_(*comm.scheduler_) {}
+
+    Comm* comm_;
+    Rank self_;
+    Rank source_;
+    Tag tag_;
+    RequestState slot_;
+  };
+
+  /// Blocking send (MPI_Send): `co_await` returns when the message has
+  /// been delivered.
+  SendAwaiter send(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
+                   Payload payload = {}) {
+    check_send(src, dst, tag);
+    return SendAwaiter(*this, src, dst, tag, bytes, std::move(payload));
+  }
+
+  /// Blocking receive (MPI_Recv); `source`/`tag` may be wildcards.
+  RecvAwaiter recv(Rank self, Rank source, Tag tag) {
+    check_recv(self, source, tag);
+    return RecvAwaiter(*this, self, source, tag);
+  }
+
+  /// Fire-and-forget send (MPI_Isend + MPI_Request_free): the message is
+  /// delivered exactly as a `send`'s, and nothing is allocated to track it.
+  void post(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
+            Payload payload = {}) {
+    check_send(src, dst, tag);
+    scheduler_->spawn(
+        deliver(src, dst, tag, bytes, std::move(payload), nullptr, nullptr));
+  }
+
+  /// Nonblocking send (MPI_Isend) of `bytes` with a structured payload.
   Request isend(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
                 Payload payload = {}) {
-    S3A_REQUIRE(src < size_ && dst < size_);
-    S3A_REQUIRE_MSG(tag >= 0, "send tag must be non-negative");
+    check_send(src, dst, tag);
     auto request = std::make_shared<RequestState>(*scheduler_);
-    scheduler_->spawn(
-        deliver(src, dst, tag, bytes, std::move(payload), request));
+    scheduler_->spawn(deliver(src, dst, tag, bytes, std::move(payload),
+                              &request->gate(), request));
     return request;
   }
 
-  /// Blocking send (MPI_Send): returns when the message has been delivered.
-  sim::Task<void> send(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-                       Payload payload = {}) {
-    auto request = isend(src, dst, tag, bytes, std::move(payload));
-    co_await request->gate().wait();
-  }
-
-  /// Nonblocking receive; `source`/`tag` may be wildcards.
+  /// Nonblocking receive (MPI_Irecv); `source`/`tag` may be wildcards.
   Request irecv(Rank self, Rank source, Tag tag) {
-    S3A_REQUIRE(self < size_);
+    check_recv(self, source, tag);
     auto request = std::make_shared<RequestState>(*scheduler_);
-    Mailbox& box = mailboxes_[self];
-    for (auto it = box.unexpected.begin(); it != box.unexpected.end(); ++it) {
-      if (matches(source, tag, *it)) {
-        request->message = std::move(*it);
-        box.unexpected.erase(it);
-        request->mark_complete();
-        return request;
-      }
+    if (take_unexpected(self, source, tag, request->message)) {
+      request->mark_complete();
+    } else {
+      mailboxes_[self].posted.push_back(
+          PostedRecv{source, tag, request.get(), request});
     }
-    box.posted.push_back(PostedRecv{source, tag, request});
     return request;
-  }
-
-  /// Blocking receive (MPI_Recv).
-  sim::Task<Message> recv(Rank self, Rank source, Tag tag) {
-    auto request = irecv(self, source, tag);
-    co_await request->gate().wait();
-    co_return std::move(request->message);
   }
 
   /// MPI_Test: instantaneous, cost-free completion check.
@@ -138,9 +220,9 @@ class Comm {
     auto posted = std::move(mailboxes_[rank].posted);
     mailboxes_[rank].posted.clear();
     for (PostedRecv& recv : posted) {
-      recv.request->message = Message{};
-      recv.request->message.cancelled = true;
-      recv.request->mark_complete();
+      recv.slot->message = Message{};
+      recv.slot->message.cancelled = true;
+      recv.slot->mark_complete();
     }
   }
 
@@ -165,10 +247,14 @@ class Comm {
   }
 
  private:
+  /// A posted receive: `slot` is where the match lands, in an awaiting
+  /// frame or in `owner`, which an `irecv` shares so the slot outlives a
+  /// dropped `Request`.
   struct PostedRecv {
     Rank source;
     Tag tag;
-    Request request;
+    RequestState* slot;
+    Request owner;
   };
   struct Mailbox {
     Mailbox() = default;
@@ -182,6 +268,33 @@ class Comm {
     std::vector<PostedRecv> posted;
     std::deque<Message> unexpected;
   };
+
+  void check_send(Rank src, Rank dst, Tag tag) const {
+    S3A_REQUIRE(src < size_ && dst < size_);
+    S3A_REQUIRE_MSG(tag >= 0, "send tag must be non-negative");
+  }
+
+  /// A receive that could never match would hang its rank until teardown.
+  void check_recv(Rank self, Rank source, Tag tag) const {
+    S3A_REQUIRE(self < size_);
+    S3A_REQUIRE_MSG(source < size_ || source == kAnySource,
+                    "receive source outside the communicator");
+    S3A_REQUIRE_MSG(tag >= kAnyTag, "receive tag below kAnyTag");
+  }
+
+  /// Moves the oldest unexpected message at `self` matching (source, tag)
+  /// into `out`; false if none matches.
+  bool take_unexpected(Rank self, Rank source, Tag tag, Message& out) {
+    auto& unexpected = mailboxes_[self].unexpected;
+    for (auto it = unexpected.begin(); it != unexpected.end(); ++it) {
+      if (matches(source, tag, *it)) {
+        out = std::move(*it);
+        unexpected.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
 
   [[nodiscard]] static bool matches(Rank want_source, Tag want_tag,
                                     const Message& message) noexcept {
@@ -197,12 +310,16 @@ class Comm {
     return static_cast<sim::Time>(rounds) * network_->params().latency;
   }
 
+  /// Moves one message over the network and matches it at `dst`, then
+  /// opens `sent` (null for a posted send).  `owner` keeps an `isend`'s
+  /// request, and so `sent`, alive until then.
   sim::Process deliver(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-                       Payload payload, Request request) {
-    const sim::Time sent = scheduler_->now();
+                       Payload payload, sim::Gate* sent,
+                       [[maybe_unused]] Request owner) {
+    const sim::Time sent_at = scheduler_->now();
     co_await network_->transfer(endpoint_of(src), endpoint_of(dst), bytes);
     if (observer_ != nullptr)
-      observer_->on_message_delivered(src, dst, tag, bytes, sent,
+      observer_->on_message_delivered(src, dst, tag, bytes, sent_at,
                                       scheduler_->now());
     Message message{.source = src, .tag = tag, .bytes = bytes,
                     .payload = std::move(payload)};
@@ -210,7 +327,9 @@ class Comm {
     bool matched = false;
     for (auto it = box.posted.begin(); it != box.posted.end(); ++it) {
       if (matches(it->source, it->tag, message)) {
-        Request receiver = it->request;
+        RequestState* receiver = it->slot;
+        // Holds an irecv's state past the erase, even if its caller let go.
+        const Request receiver_owner = std::move(it->owner);
         box.posted.erase(it);
         receiver->message = std::move(message);
         receiver->mark_complete();
@@ -219,7 +338,7 @@ class Comm {
       }
     }
     if (!matched) box.unexpected.push_back(std::move(message));
-    request->mark_complete();
+    if (sent != nullptr) sent->open();
   }
 
   sim::Scheduler* scheduler_;

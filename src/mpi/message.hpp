@@ -151,7 +151,10 @@ struct Message {
   }
 };
 
-/// Shared completion state for nonblocking operations (MPI_Request).
+/// Completion state of one operation: a gate plus, for a receive, the slot
+/// the matched message lands in.  A blocking `recv` keeps one inside its
+/// awaiter, in the awaiting coroutine's frame; `isend`/`irecv` share one
+/// through a `Request` (MPI_Request).
 class RequestState {
  public:
   explicit RequestState(sim::Scheduler& scheduler) : gate_(scheduler) {}

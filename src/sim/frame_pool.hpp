@@ -3,8 +3,9 @@
 /// \file frame_pool.hpp
 /// Slab allocator for coroutine frames.
 ///
-/// Every simulated operation (MPI send, file write, timer wait) is a `Task`
-/// coroutine, so frame allocation sits on the hot path of the DES kernel.
+/// Every simulated operation (network transfer, MPI message delivery, file
+/// write) is a `Task` or `Process` coroutine, so frame allocation sits on
+/// the hot path of the DES kernel.
 /// The pool replaces per-frame `malloc`/`free` with size-class free lists
 /// carved from large slabs: a hit is a pointer pop, a release is a pointer
 /// push, and slab memory is retained for reuse until thread exit.

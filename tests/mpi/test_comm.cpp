@@ -246,11 +246,121 @@ TEST(CommTest, InvalidRankRejected) {
   Fixture f(2);
   EXPECT_THROW(f.comm.isend(0, 9, 1, 0), std::invalid_argument);
   EXPECT_THROW(f.comm.irecv(9, 0, 1), std::invalid_argument);
+  // send, recv and post check at the call, before anything is awaited.
+  EXPECT_THROW((void)f.comm.send(0, 9, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)f.comm.send(9, 0, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)f.comm.recv(9, 0, 1), std::invalid_argument);
+  EXPECT_THROW(f.comm.post(0, 9, 1, 0), std::invalid_argument);
+  EXPECT_THROW(f.comm.post(9, 0, 1, 0), std::invalid_argument);
+  // A receive from outside the communicator could never match.
+  EXPECT_THROW((void)f.comm.recv(0, 9, 1), std::invalid_argument);
+  EXPECT_THROW(f.comm.irecv(0, 9, 1), std::invalid_argument);
+  EXPECT_NO_THROW((void)f.comm.recv(0, kAnySource, 1));
+  EXPECT_EQ(f.comm.posted_count(0), 0u);
 }
 
 TEST(CommTest, NegativeSendTagRejected) {
   Fixture f(2);
   EXPECT_THROW(f.comm.isend(0, 1, kAnyTag, 0), std::invalid_argument);
+  EXPECT_THROW((void)f.comm.send(0, 1, kAnyTag, 0), std::invalid_argument);
+  EXPECT_THROW(f.comm.post(0, 1, kAnyTag, 0), std::invalid_argument);
+  EXPECT_FALSE(f.sched.has_pending());
+}
+
+TEST(CommTest, ReceiveTagBelowAnyTagRejected) {
+  Fixture f(2);
+  EXPECT_THROW((void)f.comm.recv(1, 0, kAnyTag - 1), std::invalid_argument);
+  EXPECT_THROW(f.comm.irecv(1, 0, kAnyTag - 1), std::invalid_argument);
+  EXPECT_EQ(f.comm.posted_count(1), 0u);
+}
+
+TEST(CommTest, CancelPostedWakesBlockedReceivesAtTheSameInstant) {
+  Fixture f(2);
+  Time awaiter_done = -1;
+  Time irecv_done = -1;
+  bool awaiter_cancelled = false;
+  bool irecv_cancelled = false;
+  auto awaiting = [](Fixture& fx, Time& at, bool& cancelled) -> Process {
+    const Message m = co_await fx.comm.recv(0, kAnySource, 5);
+    at = fx.sched.now();
+    cancelled = m.cancelled;
+  };
+  auto request = [](Fixture& fx, Time& at, bool& cancelled) -> Process {
+    const mpi::Request req = fx.comm.irecv(0, 1, kAnyTag);
+    co_await Comm::wait(req);
+    at = fx.sched.now();
+    cancelled = req->message.cancelled;
+  };
+  auto canceller = [](Fixture& fx) -> Process {
+    co_await fx.sched.delay(1000);
+    // Also posted: an irecv whose Request is dropped at once.
+    (void)fx.comm.irecv(0, kAnySource, 6);
+    EXPECT_EQ(fx.comm.posted_count(0), 3u);
+    fx.comm.cancel_posted(0);
+    EXPECT_EQ(fx.comm.posted_count(0), 0u);
+  };
+  f.sched.spawn(awaiting(f, awaiter_done, awaiter_cancelled));
+  f.sched.spawn(request(f, irecv_done, irecv_cancelled));
+  f.sched.spawn(canceller(f));
+  f.sched.run();
+  EXPECT_EQ(awaiter_done, 1000);
+  EXPECT_EQ(irecv_done, 1000);
+  EXPECT_TRUE(awaiter_cancelled);
+  EXPECT_TRUE(irecv_cancelled);
+  EXPECT_EQ(f.comm.posted_count(0), 0u);
+  EXPECT_EQ(f.sched.live_processes(), 0u);
+}
+
+TEST(CommTest, PostedSendArrivesWhenAnIsendWould) {
+  // The same message, once fire-and-forget and once as an isend whose
+  // request is kept, reaches the receiver at the same simulated time.
+  auto arrival = [](bool posted) {
+    Fixture f(2);
+    Time arrived = -1;
+    auto sender = [](Fixture& fx, bool post) -> Process {
+      co_await fx.sched.delay(300);
+      if (post) {
+        fx.comm.post(0, 1, 4, 2048, 7);
+      } else {
+        const mpi::Request req = fx.comm.isend(0, 1, 4, 2048, 7);
+        co_await Comm::wait(req);
+      }
+    };
+    auto receiver = [](Fixture& fx, Time& at) -> Process {
+      const Message m = co_await fx.comm.recv(1, 0, 4);
+      EXPECT_EQ(m.as<int>(), 7);
+      at = fx.sched.now();
+    };
+    f.sched.spawn(sender(f, posted));
+    f.sched.spawn(receiver(f, arrived));
+    f.sched.run();
+    return arrived;
+  };
+  const Time posted = arrival(true);
+  EXPECT_GT(posted, 300 + 100'000);  // delay + latency
+  EXPECT_EQ(posted, arrival(false));
+}
+
+TEST(CommTest, BlockingPairTakesTwoPooledFramesPerMessage) {
+  // deliver and Network::transfer; send and recv add no frame of their own.
+  constexpr int kMessages = 100;
+  Fixture f(2);
+  auto sender = [](Fixture& fx) -> Process {
+    for (int i = 0; i < kMessages; ++i) co_await fx.comm.send(0, 1, 1, 64, i);
+  };
+  auto receiver = [](Fixture& fx) -> Process {
+    for (int i = 0; i < kMessages; ++i) {
+      const Message m = co_await fx.comm.recv(1, 0, 1);
+      EXPECT_EQ(m.as<int>(), i);
+    }
+  };
+  const sim::FramePool& pool = sim::FramePool::local();
+  const std::uint64_t before = pool.allocations();
+  f.sched.spawn(sender(f));
+  f.sched.spawn(receiver(f));
+  f.sched.run();
+  // Minus the two Process frames.
+  EXPECT_EQ(pool.allocations() - before - 2, 2u * kMessages);
 }
 
 }  // namespace

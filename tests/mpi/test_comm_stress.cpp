@@ -143,4 +143,38 @@ TEST(CommStressTest, RepeatedBarriersStayDeterministic) {
   EXPECT_EQ(run_one(a), run_one(b));
 }
 
+TEST(CommStressTest, BackloggedReceivesDrainInOneEventWithoutStackGrowth) {
+  // 1e5 messages wait in rank 1's unexpected queue; one process receives
+  // them back to back.  Each receive matches at once, so the drain must
+  // neither suspend nor nest a stack frame per message: a receive that
+  // finished as a child coroutine and resumed its caller by a plain call
+  // overflowed an 8 MiB stack here in unoptimised builds.
+  constexpr int kMessages = 100'000;
+  Fixture f(2);
+  auto sender = [](Fixture& fx) -> Process {
+    for (int i = 0; i < kMessages; ++i) co_await fx.comm.send(0, 1, 3, 0, i);
+  };
+  f.sched.spawn(sender(f));
+  f.sched.run();
+  ASSERT_EQ(f.comm.unexpected_count(1), static_cast<std::size_t>(kMessages));
+
+  int in_order = 0;
+  bool never_posted = true;
+  auto drain = [](Fixture& fx, int& ordered, bool& unposted) -> Process {
+    for (int i = 0; i < kMessages; ++i) {
+      const mpi::Message m = co_await fx.comm.recv(1, 0, 3);
+      if (m.as<int>() == i) ++ordered;
+      unposted = unposted && fx.comm.posted_count(1) == 0;
+    }
+  };
+  const std::uint64_t events_before = f.sched.events_processed();
+  f.sched.spawn(drain(f, in_order, never_posted));
+  f.sched.run();
+  EXPECT_EQ(f.sched.events_processed() - events_before, 1u);
+  EXPECT_EQ(in_order, kMessages);
+  EXPECT_TRUE(never_posted);
+  EXPECT_EQ(f.comm.unexpected_count(1), 0u);
+  EXPECT_EQ(f.sched.live_processes(), 0u);
+}
+
 }  // namespace
