@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file sequence.hpp
-/// Biological sequence types shared by the FASTA tooling, the synthetic
-/// database generator, and the mini-BLAST search engine.
+/// The biological sequence type shared by the FASTA reader/writer and the
+/// synthetic database generator.
 
 #include <cstdint>
 #include <string>
@@ -17,20 +17,5 @@ struct Sequence {
 
   [[nodiscard]] std::uint64_t length() const noexcept { return data.size(); }
 };
-
-/// The DNA alphabet used by the generator.
-inline constexpr char kNucleotides[] = {'A', 'C', 'G', 'T'};
-inline constexpr std::size_t kNucleotideCount = 4;
-
-/// 2-bit encoding for k-mer packing; returns 4 for non-ACGT characters.
-[[nodiscard]] constexpr std::uint8_t encode_base(char base) noexcept {
-  switch (base) {
-    case 'A': case 'a': return 0;
-    case 'C': case 'c': return 1;
-    case 'G': case 'g': return 2;
-    case 'T': case 't': return 3;
-    default: return 4;
-  }
-}
 
 }  // namespace s3asim::bio

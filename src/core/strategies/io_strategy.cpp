@@ -84,11 +84,9 @@ sim::Task<void> IoStrategy::master_teardown(
 }
 
 sim::Task<void> IoStrategy::on_results_ready(StrategyEnv& env, mpi::Rank rank,
-                                             std::uint32_t query,
                                              std::uint64_t result_bytes) {
   (void)env;
   (void)rank;
-  (void)query;
   (void)result_bytes;
   co_return;
 }

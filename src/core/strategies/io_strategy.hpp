@@ -259,13 +259,14 @@ class IoStrategy {
   /// After a (query, fragment) search completes and its scores are on the
   /// wire: N-N appends the results to the worker's private file.
   virtual sim::Task<void> on_results_ready(StrategyEnv& env, mpi::Rank rank,
-                                           std::uint32_t query,
                                            std::uint64_t result_bytes);
 
   /// The write path: flush the worker's accumulated extents (the I/O
   /// phase proper).  Called at batch boundaries; in broadcast mode the
   /// extent list may be empty (a non-contributing collective participant
-  /// still joins the round).
+  /// still joins the round).  `query_tag` is the local query whose offsets
+  /// message triggered the flush; WW-Aggr derives its aggregation round
+  /// from it.
   virtual sim::Task<void> flush(StrategyEnv& env, mpi::Rank rank,
                                 std::vector<pfs::Extent> extents,
                                 std::uint32_t query_tag) = 0;

@@ -40,7 +40,7 @@ class MwStrategy final : public IoStrategy {
     const std::uint64_t end = env.offsets.region_base(last_local) +
                               env.offsets.region_length(last_local);
     const sim::Time start = env.now();
-    co_await env.file->write_at(env.master, base, end - base, first_local);
+    co_await env.file->write_at(env.master, base, end - base);
     if (env.config.sync_after_write) co_await env.file->sync(env.master);
     // Asynchronous (mw_nonblocking_io) writes overlap the master's other
     // phases; only the blocking variant charges the I/O phase here.

@@ -122,8 +122,7 @@ class WwAggrStrategy final : public IoStrategy {
     const std::uint64_t total_bytes = own_bytes + received_bytes;
     if (!coalesced.empty()) {
       co_await env.file->write_noncontig(rank, std::move(coalesced),
-                                         mpiio::NoncontigMethod::ListIo,
-                                         query_tag);
+                                         mpiio::NoncontigMethod::ListIo);
       if (env.config.sync_after_write) co_await env.file->sync(rank);
     }
     env.record_phase(rank, Phase::Io, start, env.now());

@@ -28,10 +28,11 @@ class WwCollectiveStrategy : public IoStrategy {
   sim::Task<void> flush(StrategyEnv& env, mpi::Rank rank,
                         std::vector<pfs::Extent> extents,
                         std::uint32_t query_tag) override {
+    (void)query_tag;
     const sim::Time start = env.now();
     std::uint64_t bytes = 0;
     for (const pfs::Extent& extent : extents) bytes += extent.length;
-    co_await env.file->write_at_all(rank, std::move(extents), query_tag);
+    co_await env.file->write_at_all(rank, std::move(extents));
     if (env.config.sync_after_write) co_await env.file->sync(rank);
     env.record_phase(rank, Phase::Io, start, env.now());
     env.rank_stats[rank].bytes_written += bytes;

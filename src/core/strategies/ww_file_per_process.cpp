@@ -55,14 +55,13 @@ class WwFilePerProcessStrategy final : public IoStrategy {
   }
 
   sim::Task<void> on_results_ready(StrategyEnv& env, mpi::Rank rank,
-                                   std::uint32_t query,
                                    std::uint64_t result_bytes) override {
     // Append to the private file immediately — contiguous, position-free,
     // no offset list to wait for.
     if (result_bytes == 0) co_return;
     const sim::Time start = env.now();
     mpiio::File& own = *worker_files_.at(rank);
-    co_await own.write_at(rank, cursors_[rank], result_bytes, query);
+    co_await own.write_at(rank, cursors_[rank], result_bytes);
     cursors_[rank] += result_bytes;
     if (env.config.sync_after_write) co_await own.sync(rank);
     env.record_phase(rank, Phase::Io, start, env.now());

@@ -19,12 +19,12 @@ class WwIndependentStrategy : public IoStrategy {
   sim::Task<void> flush(StrategyEnv& env, mpi::Rank rank,
                         std::vector<pfs::Extent> extents,
                         std::uint32_t query_tag) override {
+    (void)query_tag;
     const sim::Time start = env.now();
     std::uint64_t bytes = 0;
     for (const pfs::Extent& extent : extents) bytes += extent.length;
     if (!extents.empty()) {
-      co_await env.file->write_noncontig(rank, std::move(extents), method_,
-                                         query_tag);
+      co_await env.file->write_noncontig(rank, std::move(extents), method_);
       if (env.config.sync_after_write) co_await env.file->sync(rank);
     }
     env.record_phase(rank, Phase::Io, start, env.now());

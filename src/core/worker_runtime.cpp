@@ -220,7 +220,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
 
     // ---- Strategy hook: results are computed and the scores are on the
     // wire (N-N appends to its private file here). ------------------------
-    co_await strategy.on_results_ready(env, rank, query, result_bytes);
+    co_await strategy.on_results_ready(env, rank, result_bytes);
 
     // ---- Step 3 again: request the next task. ---------------------------
     {

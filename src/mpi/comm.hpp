@@ -12,9 +12,6 @@
 ///    a pair (MPI's non-overtaking rule for identical envelopes).
 ///  * `post` is MPI_Isend followed by MPI_Request_free: the message goes
 ///    out exactly as a `send`'s would, and nobody can wait for it.
-///  * `isend`/`irecv` return a `Request`; `test` is a free, instantaneous
-///    completion check (MPI_Test) and `wait`/`wait_all` suspend until
-///    completion (MPI_Wait/MPI_Waitall).
 ///  * `barrier` is a dissemination-style barrier: all ranks arrive, then pay
 ///    ceil(log2(P)) network latencies.
 ///
@@ -27,16 +24,14 @@
 /// receive found in the unexpected queue completes in `await_ready`
 /// without suspending, so draining a backlog costs no event and no stack.
 /// A posted receive must complete (or be cancelled by `cancel_posted`)
-/// before its awaiting frame is destroyed.  Only `isend`/`irecv` allocate
-/// completion state: their `Request` is shared with the delivery process
-/// or the posted entry until completion, so a caller may drop it early.
+/// before its awaiting frame is destroyed.  No operation allocates
+/// completion state.
 ///
 /// Every entry point validates its ranks and tags at the call.
 
 #include <cmath>
 #include <coroutine>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "mpi/message.hpp"
@@ -49,10 +44,10 @@ namespace s3asim::mpi {
 
 /// Per-message observability hook: fires once per delivered message, after
 /// the wire transfer completes (at matching time, whether or not a receive
-/// was already posted).  `sent` is the isend call time, `received` the
-/// arrival at the destination NIC.  Implemented by the core observer bridge
-/// (flow events + message histograms); with no observer attached delivery
-/// is unchanged.
+/// was already posted).  `sent` is the time the send was issued,
+/// `received` the arrival at the destination NIC.  Implemented by the core
+/// observer bridge (flow events + message histograms); with no observer
+/// attached delivery is unchanged.
 class MessageObserver {
  public:
   virtual ~MessageObserver() = default;
@@ -101,7 +96,7 @@ class Comm {
         : scheduler_(comm.scheduler_),
           done_(*comm.scheduler_),
           delivery_(comm.deliver(src, dst, tag, bytes, std::move(payload),
-                                 &done_, nullptr)) {}
+                                 &done_)) {}
 
     sim::Scheduler* scheduler_;
     sim::Gate done_;
@@ -119,7 +114,7 @@ class Comm {
     }
     void await_suspend(std::coroutine_handle<> handle) {
       comm_->mailboxes_[self_].posted.push_back(
-          PostedRecv{source_, tag_, &slot_, nullptr});
+          PostedRecv{source_, tag_, &slot_});
       slot_.gate().wait().await_suspend(handle);
     }
     Message await_resume() noexcept { return std::move(slot_.message); }
@@ -160,45 +155,7 @@ class Comm {
             Payload payload = {}) {
     check_send(src, dst, tag);
     scheduler_->spawn(
-        deliver(src, dst, tag, bytes, std::move(payload), nullptr, nullptr));
-  }
-
-  /// Nonblocking send (MPI_Isend) of `bytes` with a structured payload.
-  Request isend(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-                Payload payload = {}) {
-    check_send(src, dst, tag);
-    auto request = std::make_shared<RequestState>(*scheduler_);
-    scheduler_->spawn(deliver(src, dst, tag, bytes, std::move(payload),
-                              &request->gate(), request));
-    return request;
-  }
-
-  /// Nonblocking receive (MPI_Irecv); `source`/`tag` may be wildcards.
-  Request irecv(Rank self, Rank source, Tag tag) {
-    check_recv(self, source, tag);
-    auto request = std::make_shared<RequestState>(*scheduler_);
-    if (take_unexpected(self, source, tag, request->message)) {
-      request->mark_complete();
-    } else {
-      mailboxes_[self].posted.push_back(
-          PostedRecv{source, tag, request.get(), request});
-    }
-    return request;
-  }
-
-  /// MPI_Test: instantaneous, cost-free completion check.
-  [[nodiscard]] static bool test(const Request& request) {
-    return request->complete();
-  }
-
-  /// MPI_Wait.
-  static sim::Task<void> wait(Request request) {
-    co_await request->gate().wait();
-  }
-
-  /// MPI_Waitall.
-  static sim::Task<void> wait_all(std::vector<Request> requests) {
-    for (auto& request : requests) co_await request->gate().wait();
+        deliver(src, dst, tag, bytes, std::move(payload), nullptr));
   }
 
   /// MPI_Barrier over all ranks of this communicator.
@@ -247,14 +204,12 @@ class Comm {
   }
 
  private:
-  /// A posted receive: `slot` is where the match lands, in an awaiting
-  /// frame or in `owner`, which an `irecv` shares so the slot outlives a
-  /// dropped `Request`.
+  /// A posted receive: `slot` is where the match lands, in the awaiting
+  /// frame.
   struct PostedRecv {
     Rank source;
     Tag tag;
     RequestState* slot;
-    Request owner;
   };
   struct Mailbox {
     Mailbox() = default;
@@ -311,11 +266,9 @@ class Comm {
   }
 
   /// Moves one message over the network and matches it at `dst`, then
-  /// opens `sent` (null for a posted send).  `owner` keeps an `isend`'s
-  /// request, and so `sent`, alive until then.
+  /// opens `sent` (null for a posted send).
   sim::Process deliver(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-                       Payload payload, sim::Gate* sent,
-                       [[maybe_unused]] Request owner) {
+                       Payload payload, sim::Gate* sent) {
     const sim::Time sent_at = scheduler_->now();
     co_await network_->transfer(endpoint_of(src), endpoint_of(dst), bytes);
     if (observer_ != nullptr)
@@ -328,8 +281,6 @@ class Comm {
     for (auto it = box.posted.begin(); it != box.posted.end(); ++it) {
       if (matches(it->source, it->tag, message)) {
         RequestState* receiver = it->slot;
-        // Holds an irecv's state past the erase, even if its caller let go.
-        const Request receiver_owner = std::move(it->owner);
         box.posted.erase(it);
         receiver->message = std::move(message);
         receiver->mark_complete();

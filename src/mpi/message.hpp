@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file message.hpp
-/// Message and request types for the MPI-like layer.
+/// Message and receive-slot types for the MPI-like layer.
 ///
 /// Payloads carry *structured simulation data* (work assignments, score
 /// lists, offset lists); the `bytes` field is what the network model
@@ -14,7 +14,6 @@
 #include <any>  // std::bad_any_cast, kept as the mismatch exception type
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <typeinfo>
@@ -151,26 +150,22 @@ struct Message {
   }
 };
 
-/// Completion state of one operation: a gate plus, for a receive, the slot
-/// the matched message lands in.  A blocking `recv` keeps one inside its
-/// awaiter, in the awaiting coroutine's frame; `isend`/`irecv` share one
-/// through a `Request` (MPI_Request).
+/// Completion state of one receive: a gate plus the slot the matched
+/// message lands in.  A blocking `recv` keeps one inside its awaiter, in
+/// the awaiting coroutine's frame.
 class RequestState {
  public:
   explicit RequestState(sim::Scheduler& scheduler) : gate_(scheduler) {}
 
-  [[nodiscard]] bool complete() const noexcept { return gate_.is_open(); }
   void mark_complete() { gate_.open(); }
 
   [[nodiscard]] sim::Gate& gate() noexcept { return gate_; }
 
-  /// For receive requests: the matched message (valid once complete).
+  /// The matched message (valid once the gate is open).
   Message message{};
 
  private:
   sim::Gate gate_;
 };
-
-using Request = std::shared_ptr<RequestState>;
 
 }  // namespace s3asim::mpi

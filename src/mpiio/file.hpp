@@ -5,10 +5,10 @@
 ///
 /// Independent operations:
 ///  * `write_at`            — contiguous write (MPI_File_write_at)
-///  * `write_noncontig`     — noncontiguous write with a flattened extent
-///                            list, executed per the chosen method (POSIX
-///                            per-extent, PVFS2-native list I/O, or ROMIO
-///                            data sieving)
+///  * `write_noncontig`     — noncontiguous write of an offset-length list
+///                            the strategy built flat, executed per the
+///                            chosen method (POSIX per-extent, PVFS2-native
+///                            list I/O, or ROMIO data sieving)
 ///  * `read_at` / `read_noncontig` — the read twins (database streaming)
 ///  * `sync`                — MPI_File_sync (flush at every server)
 ///
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "mpi/comm.hpp"
-#include "mpiio/datatype.hpp"
 #include "mpiio/hints.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/gate.hpp"
@@ -40,6 +39,8 @@
 #include "util/require.hpp"
 
 namespace s3asim::mpiio {
+
+using pfs::Extent;
 
 class File {
  public:
@@ -71,37 +72,27 @@ class File {
 
   /// Contiguous independent write.
   sim::Task<void> write_at(mpi::Rank rank, std::uint64_t offset,
-                           std::uint64_t length, std::uint64_t query = 0) {
+                           std::uint64_t length) {
     co_await fs_->write_contiguous(handle_, comm_->endpoint_of(rank), offset,
-                                   length, rank, query);
+                                   length);
   }
 
-  /// Independent noncontiguous write of pre-flattened extents, executed by
+  /// Independent noncontiguous write of a flat extent list, executed by
   /// one of the three ADIO methods.
   sim::Task<void> write_noncontig(mpi::Rank rank, std::vector<Extent> extents,
-                                  NoncontigMethod method,
-                                  std::uint64_t query = 0) {
+                                  NoncontigMethod method) {
     switch (method) {
       case NoncontigMethod::Posix:
-        co_await fs_->write_posix(handle_, comm_->endpoint_of(rank), extents,
-                                  rank, query);
+        co_await fs_->write_posix(handle_, comm_->endpoint_of(rank), extents);
         break;
       case NoncontigMethod::ListIo:
-        co_await fs_->write_list(handle_, comm_->endpoint_of(rank), extents,
-                                 rank, query);
+        co_await fs_->write_list(handle_, comm_->endpoint_of(rank), extents);
         break;
       case NoncontigMethod::Sieve:
         co_await fs_->write_sieved(handle_, comm_->endpoint_of(rank), extents,
-                                   hints_.sieve_buffer_bytes, rank, query);
+                                   hints_.sieve_buffer_bytes);
         break;
     }
-  }
-
-  /// Independent noncontiguous write described by a datatype at an offset.
-  sim::Task<void> write_typed(mpi::Rank rank, std::uint64_t offset,
-                              const Datatype& type, NoncontigMethod method,
-                              std::uint64_t query = 0) {
-    co_await write_noncontig(rank, type.flatten(offset), method, query);
   }
 
   /// Contiguous independent read (MPI_File_read_at) — used by
@@ -140,8 +131,7 @@ class File {
 
   /// Collective write: must be called once per participant per collective
   /// round, with that participant's (possibly empty) extent list.
-  sim::Task<void> write_at_all(mpi::Rank rank, std::vector<Extent> extents,
-                               std::uint64_t query = 0) {
+  sim::Task<void> write_at_all(mpi::Rank rank, std::vector<Extent> extents) {
     const std::size_t slot = slot_of(rank);
     const std::uint64_t id = next_collective_[slot]++;
     Context& ctx = context(id);
@@ -160,9 +150,9 @@ class File {
       // The paper's proposed collective: everyone writes its own extents
       // with native list I/O, then synchronizes.
       co_await fs_->write_list(handle_, comm_->endpoint_of(rank),
-                               ctx.extents_by_slot[slot], rank, query);
+                               ctx.extents_by_slot[slot]);
     } else {
-      co_await two_phase_exchange_and_write(ctx, rank, slot, query);
+      co_await two_phase_exchange_and_write(ctx, rank, slot);
     }
 
     // ---- Final phase: leave together. --------------------------------------
@@ -356,8 +346,7 @@ class File {
   }
 
   sim::Task<void> two_phase_exchange_and_write(Context& ctx, mpi::Rank rank,
-                                               std::size_t slot,
-                                               std::uint64_t query) {
+                                               std::size_t slot) {
     // ROMIO generic two-phase implementation overhead (see Hints).
     co_await scheduler_->delay(hints_.two_phase_round_overhead);
 
@@ -399,16 +388,14 @@ class File {
           remaining -= take;
           filled += take;
           if (filled == round_bytes) {
-            co_await fs_->write_list(handle_, comm_->endpoint_of(rank), round,
-                                     rank, query);
+            co_await fs_->write_list(handle_, comm_->endpoint_of(rank), round);
             round.clear();
             filled = 0;
           }
         }
       }
       if (!round.empty())
-        co_await fs_->write_list(handle_, comm_->endpoint_of(rank), round,
-                                 rank, query);
+        co_await fs_->write_list(handle_, comm_->endpoint_of(rank), round);
     }
   }
 

@@ -1,63 +1,33 @@
 #pragma once
 
 /// \file file_image.hpp
-/// Logical image of an output file: which byte ranges have been written, by
-/// whom, in what order.  This is the correctness oracle for every I/O
-/// strategy — the paper's guarantee is that workers write to *mutually
-/// exclusive* locations, so any overlap is a bug in the offset-list logic.
+/// Logical image of an output file: which byte ranges have been written.
+/// This is the correctness oracle for every I/O strategy — the paper's
+/// guarantee is that workers write to *mutually exclusive* locations, so
+/// any overlap is a bug in the offset-list logic, and any gap is lost
+/// output (which fault recovery repairs from `gaps`).
 ///
 /// Hot-path design: writes land in a staged buffer and are folded into a
 /// flat sorted interval vector in batches (one sort + linear union merge per
 /// ~1k writes), instead of one `std::map` node allocation and tree rebalance
 /// per write.  Coverage queries flush lazily, so recording stays O(1)
 /// amortised with zero per-write allocation once the vectors have grown.
-/// Provenance history is a bounded ring by default; strategies that need
-/// the full write log (tests, gap repair debugging) opt in explicitly.
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "pfs/layout.hpp"
-#include "util/require.hpp"
 
 namespace s3asim::pfs {
 
-/// A write recorded against the file, with provenance.
-struct RecordedWrite {
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-  std::uint32_t writer = 0;  // rank or client id
-  std::uint64_t query = 0;   // application-level tag (query index)
-};
-
 class FileImage {
  public:
-  enum class HistoryMode {
-    Bounded,  ///< keep only the most recent kHistoryCapacity writes
-    Full,     ///< keep every write (unbounded; tests and forensics)
-  };
-
-  /// Most recent writes retained in Bounded mode.
-  static constexpr std::size_t kHistoryCapacity = 1024;
-
-  FileImage() = default;
-  explicit FileImage(HistoryMode mode)
-      : full_history_(mode == HistoryMode::Full) {}
-
   /// Records a write.  Overlap with existing data is recorded (PVFS2 does
   /// not serialize or reject overlapping writes) but counted, so tests can
   /// assert `overlap_count() == 0`.
-  void record_write(std::uint64_t offset, std::uint64_t length,
-                    std::uint32_t writer = 0, std::uint64_t query = 0) {
+  void record_write(std::uint64_t offset, std::uint64_t length) {
     if (length == 0) return;
-    if (full_history_ || history_.size() < kHistoryCapacity) {
-      history_.push_back(RecordedWrite{offset, length, writer, query});
-    } else {
-      history_[write_count_ % kHistoryCapacity] =
-          RecordedWrite{offset, length, writer, query};
-      history_wrapped_ = true;
-    }
     ++write_count_;
     bytes_written_ += length;
     staged_.push_back(Interval{offset, offset + length});
@@ -103,17 +73,6 @@ class FileImage {
     }
     if (cursor < total) holes.push_back(Extent{cursor, total - cursor});
     return holes;
-  }
-
-  /// The recorded write log, oldest first.  In Bounded mode this is only
-  /// available while the log fits the ring — construct with
-  /// `HistoryMode::Full` to inspect provenance of long runs.
-  /// (Not noexcept: the wrapped-ring contract check below throws.)
-  [[nodiscard]] const std::vector<RecordedWrite>& history() const {
-    S3A_REQUIRE_MSG(!history_wrapped_,
-                    "bounded write history overflowed; construct the "
-                    "FileImage with HistoryMode::Full to keep all writes");
-    return history_;
   }
 
   [[nodiscard]] std::uint64_t write_count() const noexcept { return write_count_; }
@@ -181,9 +140,6 @@ class FileImage {
   mutable std::vector<Interval> merge_buf_;
   mutable std::uint64_t overlaps_ = 0;
   mutable std::uint64_t covered_ = 0;
-  std::vector<RecordedWrite> history_;
-  bool full_history_ = false;
-  bool history_wrapped_ = false;
   std::uint64_t write_count_ = 0;
   std::uint64_t bytes_written_ = 0;
 };

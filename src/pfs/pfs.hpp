@@ -124,12 +124,9 @@ class Pfs {
   /// One contiguous write: at most one OL pair per server, all servers in
   /// parallel; completes when the slowest server acknowledges.
   sim::Task<void> write_contiguous(FileHandle file, net::EndpointId client,
-                                   std::uint64_t offset, std::uint64_t length,
-                                   std::uint32_t writer = 0,
-                                   std::uint64_t query = 0) {
+                                   std::uint64_t offset, std::uint64_t length) {
     const Extent one{offset, length};
-    co_await write_list(file, client, std::span<const Extent>(&one, 1), writer,
-                        query);
+    co_await write_list(file, client, std::span<const Extent>(&one, 1));
   }
 
   /// Native list I/O: every extent decomposed and grouped per server; one
@@ -140,16 +137,14 @@ class Pfs {
   /// in the write-back cache — servers see nothing until eviction, sync,
   /// revocation, or close.
   sim::Task<void> write_list(FileHandle file, net::EndpointId client,
-                             std::span<const Extent> extents,
-                             std::uint32_t writer = 0,
-                             std::uint64_t query = 0) {
+                             std::span<const Extent> extents) {
     if (cache_enabled()) {
-      co_await absorb_batch(file, client, extents, writer, query);
+      co_await absorb_batch(file, client, extents);
       co_await drain_evictions(client);
       co_return;
     }
     co_await fan_out(RequestKind::Write, client, extents);
-    record_writes(file, extents, writer, query);
+    record_writes(file, extents);
   }
 
   /// POSIX-style noncontiguous write: one fully-synchronous round trip per
@@ -158,13 +153,11 @@ class Pfs {
   /// the round-trip cadence that token contention punishes — but the data
   /// itself is absorbed write-back.
   sim::Task<void> write_posix(FileHandle file, net::EndpointId client,
-                              std::span<const Extent> extents,
-                              std::uint32_t writer = 0,
-                              std::uint64_t query = 0) {
+                              std::span<const Extent> extents) {
     if (cache_enabled()) {
       for (const Extent& extent : extents)
-        co_await absorb_batch(file, client, std::span<const Extent>(&extent, 1),
-                              writer, query);
+        co_await absorb_batch(file, client,
+                              std::span<const Extent>(&extent, 1));
       co_await drain_evictions(client);
       co_return;
     }
@@ -181,7 +174,7 @@ class Pfs {
                             /*pairs=*/1, extent.length);
       else
         co_await fan_out(RequestKind::Write, client, one, /*await_lone=*/true);
-      record_writes(file, one, writer, query);
+      record_writes(file, one);
     }
   }
 
@@ -193,11 +186,9 @@ class Pfs {
   /// no read-modify-write.
   sim::Task<void> write_sieved(FileHandle file, net::EndpointId client,
                                std::span<const Extent> extents,
-                               std::uint64_t buffer_bytes,
-                               std::uint32_t writer = 0,
-                               std::uint64_t query = 0) {
+                               std::uint64_t buffer_bytes) {
     if (cache_enabled()) {
-      co_await write_list(file, client, extents, writer, query);
+      co_await write_list(file, client, extents);
       co_return;
     }
     const SievePlan plan = plan_sieve(extents, buffer_bytes);
@@ -220,9 +211,8 @@ class Pfs {
                        std::span<const Extent>(&span, 1));
     }
     // Only the caller's extents land in the image: the hole bytes rewrote
-    // whatever the pre-read saw, leaving other writers' data attributed to
-    // them.
-    record_writes(file, extents, writer, query);
+    // whatever the pre-read saw.
+    record_writes(file, extents);
   }
 
   /// Read of a contiguous range: `read_list` of one extent.  Used by
@@ -414,11 +404,10 @@ class Pfs {
     return *files_[file];
   }
 
-  void record_writes(FileHandle file, std::span<const Extent> extents,
-                     std::uint32_t writer, std::uint64_t query) {
+  void record_writes(FileHandle file, std::span<const Extent> extents) {
     FileImage& image = file_state(file).image;
     for (const Extent& extent : extents)
-      image.record_write(extent.offset, extent.length, writer, query);
+      image.record_write(extent.offset, extent.length);
   }
 
   /// RAII lease on a pooled `GroupScratch`.  One scratch is checked out per
@@ -688,14 +677,13 @@ class Pfs {
   /// Write leases, then cache absorption, for one extent batch.  A token
   /// service hold taken for a grant lasts until the batch is absorbed.
   sim::Task<void> absorb_batch(FileHandle file, net::EndpointId client,
-                               std::span<const Extent> extents,
-                               std::uint32_t writer, std::uint64_t query) {
+                               std::span<const Extent> extents) {
     std::optional<sim::ResourceHold> hold;
     if (!lease_spans(file, client, TokenMode::Write, extents).empty())
       co_await grant_leases(file, client, TokenMode::Write, extents, hold);
     ClientCache& cache = client_cache(client);
     for (const Extent& extent : extents) cache.absorb_write(file, extent);
-    record_writes(file, extents, writer, query);
+    record_writes(file, extents);
   }
 
   /// One revocation round trip: metadata server → victim callback, the

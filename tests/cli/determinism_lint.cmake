@@ -8,15 +8,13 @@
 #   cmake -DSRC_DIR=path/to/src -P determinism_lint.cmake
 #
 # Allowed: the frame pool's thread-local free lists (they report only
-# host.* gauges), the scheduler's host-clock profiler, and the mini-BLAST
-# under bio/, which no simulation runs.
+# host.* gauges) and the scheduler's host-clock profiler.
 cmake_minimum_required(VERSION 3.20)
 
 set(allowed
   sim/frame_pool.hpp
   sim/scheduler.hpp
   sim/scheduler.cpp)
-set(allowed_prefix "bio/")
 
 # Rule names and CMake regexes, in pairs.
 set(rules
@@ -40,7 +38,7 @@ math(EXPR last_rule "${rule_words} - 1")
 set(hits 0)
 set(scanned 0)
 foreach(source IN LISTS sources)
-  if(source IN_LIST allowed OR source MATCHES "^${allowed_prefix}")
+  if(source IN_LIST allowed)
     continue()
   endif()
   math(EXPR scanned "${scanned} + 1")

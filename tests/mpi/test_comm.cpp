@@ -155,54 +155,6 @@ TEST(CommTest, NonOvertakingForIdenticalEnvelopes) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(CommTest, IsendTestTransitionsToComplete) {
-  Fixture f(2);
-  auto prog = [](Fixture& fx) -> Process {
-    auto req = fx.comm.isend(0, 1, 9, 1024);
-    EXPECT_FALSE(Comm::test(req));
-    co_await Comm::wait(req);
-    EXPECT_TRUE(Comm::test(req));
-    // Drain the unexpected message so the test leaves a clean world.
-    (void)co_await fx.comm.recv(1, 0, 9);
-  };
-  f.sched.spawn(prog(f));
-  f.sched.run();
-}
-
-TEST(CommTest, IrecvBeforeSendCompletesOnArrival) {
-  Fixture f(2);
-  auto prog = [](Fixture& fx) -> Process {
-    auto req = fx.comm.irecv(1, 0, 2);
-    EXPECT_FALSE(Comm::test(req));
-    auto send_req = fx.comm.isend(0, 1, 2, 64, std::string("x"));
-    co_await Comm::wait(req);
-    EXPECT_TRUE(Comm::test(req));
-    EXPECT_EQ(req->message.as<std::string>(), "x");
-    co_await Comm::wait(send_req);
-  };
-  f.sched.spawn(prog(f));
-  f.sched.run();
-  EXPECT_EQ(f.comm.posted_count(1), 0u);
-}
-
-TEST(CommTest, WaitAllCompletesAllRequests) {
-  Fixture f(3);
-  auto prog = [](Fixture& fx) -> Process {
-    std::vector<mpi::Request> recvs;
-    recvs.push_back(fx.comm.irecv(0, 1, 1));
-    recvs.push_back(fx.comm.irecv(0, 2, 1));
-    auto s1 = fx.comm.isend(1, 0, 1, 10);
-    auto s2 = fx.comm.isend(2, 0, 1, 10);
-    co_await Comm::wait_all(recvs);
-    EXPECT_TRUE(Comm::test(recvs[0]));
-    EXPECT_TRUE(Comm::test(recvs[1]));
-    co_await Comm::wait(s1);
-    co_await Comm::wait(s2);
-  };
-  f.sched.spawn(prog(f));
-  f.sched.run();
-}
-
 TEST(CommTest, BarrierSynchronizesAllRanks) {
   Fixture f(4);
   std::vector<Time> after;
@@ -244,8 +196,6 @@ TEST(CommTest, BigMessageSlowerThanSmall) {
 
 TEST(CommTest, InvalidRankRejected) {
   Fixture f(2);
-  EXPECT_THROW(f.comm.isend(0, 9, 1, 0), std::invalid_argument);
-  EXPECT_THROW(f.comm.irecv(9, 0, 1), std::invalid_argument);
   // send, recv and post check at the call, before anything is awaited.
   EXPECT_THROW((void)f.comm.send(0, 9, 1, 0), std::invalid_argument);
   EXPECT_THROW((void)f.comm.send(9, 0, 1, 0), std::invalid_argument);
@@ -254,14 +204,12 @@ TEST(CommTest, InvalidRankRejected) {
   EXPECT_THROW(f.comm.post(9, 0, 1, 0), std::invalid_argument);
   // A receive from outside the communicator could never match.
   EXPECT_THROW((void)f.comm.recv(0, 9, 1), std::invalid_argument);
-  EXPECT_THROW(f.comm.irecv(0, 9, 1), std::invalid_argument);
   EXPECT_NO_THROW((void)f.comm.recv(0, kAnySource, 1));
   EXPECT_EQ(f.comm.posted_count(0), 0u);
 }
 
 TEST(CommTest, NegativeSendTagRejected) {
   Fixture f(2);
-  EXPECT_THROW(f.comm.isend(0, 1, kAnyTag, 0), std::invalid_argument);
   EXPECT_THROW((void)f.comm.send(0, 1, kAnyTag, 0), std::invalid_argument);
   EXPECT_THROW(f.comm.post(0, 1, kAnyTag, 0), std::invalid_argument);
   EXPECT_FALSE(f.sched.has_pending());
@@ -270,50 +218,44 @@ TEST(CommTest, NegativeSendTagRejected) {
 TEST(CommTest, ReceiveTagBelowAnyTagRejected) {
   Fixture f(2);
   EXPECT_THROW((void)f.comm.recv(1, 0, kAnyTag - 1), std::invalid_argument);
-  EXPECT_THROW(f.comm.irecv(1, 0, kAnyTag - 1), std::invalid_argument);
   EXPECT_EQ(f.comm.posted_count(1), 0u);
 }
 
 TEST(CommTest, CancelPostedWakesBlockedReceivesAtTheSameInstant) {
   Fixture f(2);
-  Time awaiter_done = -1;
-  Time irecv_done = -1;
-  bool awaiter_cancelled = false;
-  bool irecv_cancelled = false;
-  auto awaiting = [](Fixture& fx, Time& at, bool& cancelled) -> Process {
-    const Message m = co_await fx.comm.recv(0, kAnySource, 5);
+  Time any_source_done = -1;
+  Time any_tag_done = -1;
+  bool any_source_cancelled = false;
+  bool any_tag_cancelled = false;
+  auto awaiting = [](Fixture& fx, mpi::Rank source, mpi::Tag tag, Time& at,
+                     bool& cancelled) -> Process {
+    const Message m = co_await fx.comm.recv(0, source, tag);
     at = fx.sched.now();
     cancelled = m.cancelled;
   };
-  auto request = [](Fixture& fx, Time& at, bool& cancelled) -> Process {
-    const mpi::Request req = fx.comm.irecv(0, 1, kAnyTag);
-    co_await Comm::wait(req);
-    at = fx.sched.now();
-    cancelled = req->message.cancelled;
-  };
   auto canceller = [](Fixture& fx) -> Process {
     co_await fx.sched.delay(1000);
-    // Also posted: an irecv whose Request is dropped at once.
-    (void)fx.comm.irecv(0, kAnySource, 6);
-    EXPECT_EQ(fx.comm.posted_count(0), 3u);
+    EXPECT_EQ(fx.comm.posted_count(0), 2u);
     fx.comm.cancel_posted(0);
     EXPECT_EQ(fx.comm.posted_count(0), 0u);
   };
-  f.sched.spawn(awaiting(f, awaiter_done, awaiter_cancelled));
-  f.sched.spawn(request(f, irecv_done, irecv_cancelled));
+  f.sched.spawn(
+      awaiting(f, kAnySource, 5, any_source_done, any_source_cancelled));
+  f.sched.spawn(awaiting(f, 1, kAnyTag, any_tag_done, any_tag_cancelled));
   f.sched.spawn(canceller(f));
   f.sched.run();
-  EXPECT_EQ(awaiter_done, 1000);
-  EXPECT_EQ(irecv_done, 1000);
-  EXPECT_TRUE(awaiter_cancelled);
-  EXPECT_TRUE(irecv_cancelled);
+  EXPECT_EQ(any_source_done, 1000);
+  EXPECT_EQ(any_tag_done, 1000);
+  EXPECT_TRUE(any_source_cancelled);
+  EXPECT_TRUE(any_tag_cancelled);
   EXPECT_EQ(f.comm.posted_count(0), 0u);
   EXPECT_EQ(f.sched.live_processes(), 0u);
 }
 
 TEST(CommTest, PostedSendArrivesWhenAnIsendWould) {
-  // The same message, once fire-and-forget and once as an isend whose
-  // request is kept, reaches the receiver at the same simulated time.
+  // The same message, once fire-and-forget and once as a blocking send,
+  // reaches the receiver at the same simulated time: both spawn the same
+  // delivery process, and only the blocking one waits for it.
   auto arrival = [](bool posted) {
     Fixture f(2);
     Time arrived = -1;
@@ -322,8 +264,7 @@ TEST(CommTest, PostedSendArrivesWhenAnIsendWould) {
       if (post) {
         fx.comm.post(0, 1, 4, 2048, 7);
       } else {
-        const mpi::Request req = fx.comm.isend(0, 1, 4, 2048, 7);
-        co_await Comm::wait(req);
+        co_await fx.comm.send(0, 1, 4, 2048, 7);
       }
     };
     auto receiver = [](Fixture& fx, Time& at) -> Process {

@@ -67,13 +67,13 @@ struct Fixture {
 TEST(MpiioFileTest, WriteAtRecordsContiguousExtent) {
   Fixture f(2);
   auto prog = [](Fixture& fx) -> Process {
-    co_await fx.file->write_at(0, 0, 3000, /*query=*/4);
+    co_await fx.file->write_at(0, 0, 3000);
     co_await fx.file->sync(0);
   };
   f.sched.spawn(prog(f));
   f.sched.run();
   EXPECT_TRUE(f.file->image().covers_exactly(3000));
-  EXPECT_EQ(f.file->image().history()[0].query, 4u);
+  EXPECT_EQ(f.file->image().write_count(), 1u);
 }
 
 TEST(MpiioFileTest, NoncontigPosixAndListProduceSameImage) {
@@ -91,19 +91,6 @@ TEST(MpiioFileTest, NoncontigPosixAndListProduceSameImage) {
   }
 }
 
-TEST(MpiioFileTest, WriteTypedFlattensDatatype) {
-  Fixture f(1);
-  auto prog = [](Fixture& fx) -> Process {
-    const auto type = mpiio::Datatype::vector(3, 50, 100);
-    co_await fx.file->write_typed(0, 1000, type, NoncontigMethod::ListIo);
-  };
-  f.sched.spawn(prog(f));
-  f.sched.run();
-  EXPECT_EQ(f.file->image().covered_bytes(), 150u);
-  EXPECT_EQ(f.file->image().history().size(), 3u);
-  EXPECT_EQ(f.file->image().history()[0].offset, 1000u);
-}
-
 TEST(MpiioFileTest, CollectiveTwoPhaseCoversUnionExactly) {
   Fixture f(4);
   // Interleaved extents: rank r owns pieces r, r+4, r+8, ... of 16×100 B.
@@ -111,7 +98,7 @@ TEST(MpiioFileTest, CollectiveTwoPhaseCoversUnionExactly) {
     std::vector<Extent> extents;
     for (std::uint64_t k = rank; k < 16; k += 4)
       extents.push_back(Extent{k * 100, 100});
-    co_await fx.file->write_at_all(rank, std::move(extents), /*query=*/1);
+    co_await fx.file->write_at_all(rank, std::move(extents));
   };
   for (mpi::Rank r = 0; r < 4; ++r) f.sched.spawn(participant(f, r));
   f.sched.run();
@@ -179,7 +166,7 @@ TEST(MpiioFileTest, SequentialCollectiveRoundsMatchUp) {
     for (std::uint64_t round = 0; round < 3; ++round) {
       std::vector<Extent> extents{
           Extent{round * 2000 + rank * 1000ull, 1000}};
-      co_await fx.file->write_at_all(rank, std::move(extents), round);
+      co_await fx.file->write_at_all(rank, std::move(extents));
     }
   };
   for (mpi::Rank r = 0; r < 2; ++r) f.sched.spawn(participant(f, r));
@@ -213,9 +200,11 @@ TEST(MpiioFileTest, CbNodesLimitsAggregators) {
   for (mpi::Rank r = 0; r < 4; ++r) f.sched.spawn(participant(f, r));
   f.sched.run();
   EXPECT_TRUE(f.file->image().covers_exactly(4000));
-  // With one aggregator, every recorded write must come from rank 0.
-  for (const auto& write : f.file->image().history())
-    EXPECT_EQ(write.writer, 0u);
+  // With one aggregator only rank 0 writes: ranks 1-3 send nothing but
+  // their 1000 exchange bytes.
+  for (mpi::Rank r = 1; r < 4; ++r)
+    EXPECT_EQ(f.network.counters(f.comm.endpoint_of(r)).bytes_sent, 1000u)
+        << "rank " << r;
 }
 
 TEST(MpiioFileTest, NonParticipantRankRejected) {

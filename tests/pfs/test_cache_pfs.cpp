@@ -75,11 +75,10 @@ TEST(CachePfsTest, WritesAreAbsorbedUntilSync) {
   Fixture f(cached_params(/*capacity_blocks=*/64));
   auto prog = [](Fixture& fx) -> Process {
     const auto file = co_await fx.fs.create_file(0, "out");
-    co_await fx.fs.write_contiguous(file, 0, 0, 2048, /*writer=*/1,
-                                    /*query=*/7);
+    co_await fx.fs.write_contiguous(file, 0, 0, 2048);
     // The image is exact at absorb time, before any flush...
     EXPECT_TRUE(fx.fs.image(file).covers_exactly(2048));
-    EXPECT_EQ(fx.fs.image(file).history()[0].writer, 1u);
+    EXPECT_EQ(fx.fs.image(file).write_count(), 1u);
     // ...but no data has reached a server yet.
     EXPECT_EQ(fx.total_server_writes(), 0u);
     co_await fx.fs.sync(file, 0);

@@ -86,14 +86,6 @@ TEST(FileImageTest, ZeroLengthWriteIgnored) {
   EXPECT_EQ(image.covered_bytes(), 0u);
 }
 
-TEST(FileImageTest, HistoryKeepsProvenance) {
-  FileImage image;
-  image.record_write(0, 10, /*writer=*/3, /*query=*/7);
-  ASSERT_EQ(image.history().size(), 1u);
-  EXPECT_EQ(image.history()[0].writer, 3u);
-  EXPECT_EQ(image.history()[0].query, 7u);
-}
-
 TEST(FileImageTest, ManyInterleavedWritersCoverExactly) {
   // Simulates the WW pattern: many writers, mutually exclusive interleaved
   // extents, arbitrary arrival order.
@@ -102,7 +94,7 @@ TEST(FileImageTest, ManyInterleavedWritersCoverExactly) {
   constexpr std::uint64_t kSize = 37;
   for (std::uint64_t i = 0; i < kPieces; ++i) {
     const std::uint64_t piece = (i * 7919) % kPieces;  // permutation
-    image.record_write(piece * kSize, kSize, static_cast<std::uint32_t>(piece % 8));
+    image.record_write(piece * kSize, kSize);
   }
   EXPECT_EQ(image.overlap_count(), 0u);
   EXPECT_TRUE(image.covers_exactly(kPieces * kSize));

@@ -115,12 +115,11 @@ TEST(FileImagePropertyTest, FlushThresholdCrossingMatchesBitmap) {
   // multiple sort+merge folds plus queries landing mid-batch.
   for (std::uint32_t seed = 7; seed <= 9; ++seed) {
     SCOPED_TRACE(seed);
-    FileImage image(FileImage::HistoryMode::Full);
+    FileImage image;
     check_against_bitmap(Shape{1 << 15, 64, 5000, seed}, image);
-    // Zero-length draws are skipped, so the log holds exactly the recorded
-    // (non-empty) writes even though that is fewer than the 5000 attempts.
-    EXPECT_EQ(image.history().size(), image.write_count());
-    EXPECT_GT(image.write_count(), FileImage::kHistoryCapacity);
+    // Zero-length draws are skipped and not counted; what remains still
+    // crosses the threshold.
+    EXPECT_GT(image.write_count(), 1024u);
   }
 }
 
@@ -140,29 +139,6 @@ TEST(FileImagePropertyTest, DisjointTilingNeverReportsOverlap) {
   EXPECT_EQ(image.covered_bytes(), kPieces * kSize);
   EXPECT_TRUE(image.covers_exactly(kPieces * kSize));
   EXPECT_TRUE(image.gaps(kPieces * kSize).empty());
-}
-
-TEST(FileImagePropertyTest, BoundedHistoryRingKeepsRecentWrites) {
-  FileImage image;  // default: bounded history
-  for (std::uint64_t i = 0; i < FileImage::kHistoryCapacity; ++i)
-    image.record_write(i * 10, 10, static_cast<std::uint32_t>(i));
-  // Ring still intact: full log available.
-  EXPECT_EQ(image.history().size(), FileImage::kHistoryCapacity);
-  // One more write wraps the ring; the accessor now refuses.
-  image.record_write(999999, 10);
-  EXPECT_THROW((void)image.history(), std::invalid_argument);
-  // Counters keep working regardless of the ring state.
-  EXPECT_EQ(image.write_count(), FileImage::kHistoryCapacity + 1);
-}
-
-TEST(FileImagePropertyTest, FullHistoryModeKeepsEverything) {
-  FileImage image(FileImage::HistoryMode::Full);
-  const std::uint64_t writes = FileImage::kHistoryCapacity + 500;
-  for (std::uint64_t i = 0; i < writes; ++i)
-    image.record_write(i, 1, static_cast<std::uint32_t>(i % 64), i);
-  ASSERT_EQ(image.history().size(), writes);
-  EXPECT_EQ(image.history().front().query, 0u);
-  EXPECT_EQ(image.history().back().query, writes - 1);
 }
 
 }  // namespace

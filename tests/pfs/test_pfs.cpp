@@ -62,9 +62,9 @@ TEST(PfsTest, ContiguousWriteRecordsExtent) {
   Fixture f;
   auto prog = [](Fixture& fx) -> Process {
     const auto file = co_await fx.fs.create_file(0, "out");
-    co_await fx.fs.write_contiguous(file, 0, 0, 5000, /*writer=*/1, /*query=*/2);
+    co_await fx.fs.write_contiguous(file, 0, 0, 5000);
     EXPECT_TRUE(fx.fs.image(file).covers_exactly(5000));
-    EXPECT_EQ(fx.fs.image(file).history()[0].writer, 1u);
+    EXPECT_EQ(fx.fs.image(file).write_count(), 1u);
   };
   f.sched.spawn(prog(f));
   f.sched.run();
@@ -213,7 +213,7 @@ TEST(PfsTest, ConcurrentDisjointWritersNoOverlap) {
       std::vector<Extent> extents;
       for (std::uint64_t k = 0; k < 16; ++k)
         extents.push_back(Extent{(k * 8 + id) * 100, 100});
-      co_await fx2.fs.write_list(handle, id, extents, id);
+      co_await fx2.fs.write_list(handle, id, extents);
     };
     for (std::uint32_t id = 0; id < 8; ++id)
       fx.sched.spawn(writer(fx, file, id));

@@ -207,12 +207,11 @@ TEST(PfsSieveTest, SievedWriteProtectsHolesWithRmwPreRead) {
   auto prog = [](Fixture& fx) -> Process {
     const auto file = co_await fx.fs.create_file(0, "out");
     const Extent extents[] = {{0, 100}, {200, 100}};
-    co_await fx.fs.write_sieved(file, 0, extents, /*buffer_bytes=*/4096,
-                                /*writer=*/1, /*query=*/3);
+    co_await fx.fs.write_sieved(file, 0, extents, /*buffer_bytes=*/4096);
     // Only the requested extents land in the image — the hole stays
-    // unattributed even though its bytes were rewritten.
+    // uncovered even though its bytes were rewritten.
     EXPECT_EQ(fx.fs.image(file).covered_bytes(), 200u);
-    EXPECT_EQ(fx.fs.image(file).history()[0].writer, 1u);
+    EXPECT_EQ(fx.fs.image(file).write_count(), 2u);
   };
   f.sched.spawn(prog(f));
   f.sched.run();
@@ -251,10 +250,9 @@ TEST(PfsSieveTest, SievedWriteImageMatchesListWrite) {
       const auto file = co_await fx.fs.create_file(0, "out");
       std::vector<Extent> list(std::begin(extents), std::end(extents));
       if (sieved)
-        co_await fx.fs.write_sieved(file, 0, list, /*buffer_bytes=*/256,
-                                    /*writer=*/2, /*query=*/5);
+        co_await fx.fs.write_sieved(file, 0, list, /*buffer_bytes=*/256);
       else
-        co_await fx.fs.write_list(file, 0, list, /*writer=*/2, /*query=*/5);
+        co_await fx.fs.write_list(file, 0, list);
       EXPECT_EQ(fx.fs.image(file).covered_bytes(), 48u + 64u + 500u);
       EXPECT_EQ(fx.fs.image(file).overlap_count(), 0u);
     };
