@@ -14,7 +14,11 @@
 #include <string>
 #include <utility>
 
+#include "core/membership.hpp"
+#include "core/serving.hpp"
 #include "core/simulation.hpp"
+#include "fault/fault.hpp"
+#include "sim/time.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -269,6 +273,110 @@ TEST(GoldenStatsTest, CacheAndReadPathsMatchPinnedAggregates) {
     EXPECT_EQ(stats.fs.server_pairs, golden.server_pairs);
     EXPECT_EQ(stats.db_bytes_read, golden.db_bytes_read);
     EXPECT_EQ(path_counters(stats), golden.counters);
+  }
+}
+
+// ---- The master's event loop ------------------------------------------------
+// The rows above all run Algorithm 1's closed-batch loop.  These run the
+// event loop (serving, fault recovery, scheduled joins) down its branches:
+// - WW-List, a worker killed mid-run: its task goes to a parked survivor,
+//   and the master repairs the hole its lost write left;
+// - WW-Coll, a worker killed mid-run: reclaimed frontier tasks are pushed
+//   unsolicited to defer-blocked survivors, and a worker retired while
+//   alive gets Done on its next request;
+// - WW-List, every score of one worker dropped: the mute worker is retired
+//   while parked and released with Done;
+// - WW-List, one scheduled join: the Welcome;
+// - two-tenant WFQ serving that sheds: parked requests, feed_parked, and
+//   Done once the stream is over.
+// To regenerate, print the same aggregates and the nonzero
+// `event_loop_counters` from a `run_simulation` loop over the rows.
+
+SimConfig faulted(Strategy strategy, const char* plan) {
+  SimConfig config = test_config();
+  config.strategy = strategy;
+  config.fault_detection_timeout = s3asim::sim::seconds(2);
+  config.fault = s3asim::fault::parse_fault_plan(plan);
+  return config;
+}
+
+SimConfig scheduled_join() {
+  SimConfig config = test_config();
+  config.membership.joins = parse_joins("worker=4,at=200ms");
+  return config;
+}
+
+SimConfig shedding_wfq() {
+  SimConfig config = test_config();
+  config.workload.query_count = 12;
+  config.serving.arrival_rate_hz = 10.0;
+  config.serving.tenants = parse_tenants("gold:rate=2,weight=3|bronze:rate=1");
+  config.serving.policy = AdmitPolicy::WeightedFair;
+  config.serving.admit_depth = 2;
+  return config;
+}
+
+/// The `faults.*` counters and the serving outcome of a run that are
+/// nonzero.
+std::map<std::string, std::uint64_t> event_loop_counters(
+    const RunStats& stats) {
+  const FaultStats& f = stats.faults;
+  const std::pair<const char*, std::uint64_t> all[] = {
+      {"faults.workers_died", f.workers_died},
+      {"faults.workers_retired", f.workers_retired},
+      {"faults.tasks_reassigned", f.tasks_reassigned},
+      {"faults.duplicate_completions", f.duplicate_completions},
+      {"faults.scores_dropped", f.scores_dropped},
+      {"faults.repaired_bytes", f.repaired_bytes},
+      {"serving.completed", stats.serving.overall.completed},
+      {"serving.shed", stats.serving.overall.shed},
+  };
+  std::map<std::string, std::uint64_t> nonzero;
+  for (const auto& [name, value] : all)
+    if (value != 0) nonzero.emplace(name, value);
+  return nonzero;
+}
+
+struct EventLoopGolden {
+  const char* name;
+  SimConfig config;
+  double wall_seconds;
+  std::uint64_t events;
+  std::map<std::string, std::uint64_t> counters;  ///< nonzero ones only
+};
+
+TEST(GoldenStatsTest, EventLoopPathsMatchPinnedAggregates) {
+  // clang-format off
+  const EventLoopGolden kRows[] = {
+    {"WW-List kill", faulted(Strategy::WWList, "kill:worker=1,at=500ms"),
+     2.713793773, 2306ull,
+     {{"faults.repaired_bytes", 14514}, {"faults.tasks_reassigned", 1},
+      {"faults.workers_died", 1}, {"faults.workers_retired", 1}}},
+    {"WW-Coll kill", faulted(Strategy::WWColl, "kill:worker=2,at=1500ms"),
+     4.954945174, 2623ull,
+     {{"faults.duplicate_completions", 1}, {"faults.tasks_reassigned", 2},
+      {"faults.workers_died", 1}, {"faults.workers_retired", 2}}},
+    {"WW-List drop", faulted(Strategy::WWList, "drop:worker=1,prob=1"),
+     3.038667125, 2159ull,
+     {{"faults.scores_dropped", 7}, {"faults.tasks_reassigned", 7},
+      {"faults.workers_retired", 1}}},
+    {"WW-List join", scheduled_join(),
+     1.024868935, 2308ull,
+     {}},
+    {"WFQ serving", shedding_wfq(),
+     2.015450210, 4556ull,
+     {{"serving.completed", 8}, {"serving.shed", 4}}},
+  };
+  // clang-format on
+
+  for (const EventLoopGolden& golden : kRows) {
+    const RunStats stats = run_simulation(golden.config);
+
+    SCOPED_TRACE(golden.name);
+    EXPECT_TRUE(stats.file_exact);
+    EXPECT_DOUBLE_EQ(stats.wall_seconds, golden.wall_seconds);
+    EXPECT_EQ(stats.events, golden.events);
+    EXPECT_EQ(event_loop_counters(stats), golden.counters);
   }
 }
 
