@@ -294,8 +294,8 @@ void ablation_faults(Runner& runner) {
   };
 
   // Stage 1: failure-free baselines.  A benign plan (slow factor 1 changes
-  // nothing) keeps them on the recovery-capable master loop, as the
-  // faulted runs are; the plain MW loop is measurably slower, which would
+  // nothing) keeps them on the master's event loop, as the faulted runs
+  // are; MW under the closed-batch loop is measurably slower, which would
   // masquerade as a negative cost of death.
   std::vector<Point> baseline_grid;
   for (const auto strategy : kPaperStrategies) {

@@ -54,10 +54,12 @@ int main() {
 
   util::TextTable table({"Flush policy", "Wall (s)", "FS requests", "Syncs",
                          "Output"});
+  bool exact = true;
   for (const std::uint32_t flush :
        {1u, 5u, config.workload.query_count /* write-at-end */}) {
     config.queries_per_flush = flush;
     const auto stats = core::run_simulation(config);
+    exact = exact && stats.file_exact;
     const std::string label =
         flush == 1 ? "every query"
                    : (flush == config.workload.query_count
@@ -97,5 +99,5 @@ int main() {
               fasta_stats.file_exact ? "verified" : "VERIFICATION FAILED");
   std::remove(db_path.c_str());
   std::remove(query_path.c_str());
-  return 0;
+  return exact && fasta_stats.file_exact ? 0 : 1;
 }

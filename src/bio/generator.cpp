@@ -1,8 +1,7 @@
 #include "bio/generator.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <queue>
+#include <string>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -36,35 +35,6 @@ std::vector<Sequence> generate_queries(std::uint64_t seed, std::uint64_t count) 
   config.seed = seed;
   config.length_histogram = util::nt_query_histogram();
   return generate_sequences(config, count, "s3asim|query");
-}
-
-std::vector<std::vector<std::size_t>> fragment_database(
-    const std::vector<Sequence>& database, std::uint32_t fragment_count) {
-  S3A_REQUIRE(fragment_count >= 1);
-  // Greedy longest-processing-time partitioning: assign each sequence (in
-  // decreasing length order) to the currently lightest fragment.
-  std::vector<std::size_t> order(database.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (database[a].length() != database[b].length())
-      return database[a].length() > database[b].length();
-    return a < b;
-  });
-
-  using Load = std::pair<std::uint64_t, std::uint32_t>;  // (residues, fragment)
-  std::priority_queue<Load, std::vector<Load>, std::greater<>> heap;
-  for (std::uint32_t f = 0; f < fragment_count; ++f) heap.emplace(0, f);
-
-  std::vector<std::vector<std::size_t>> fragments(fragment_count);
-  for (const std::size_t index : order) {
-    auto [load, fragment] = heap.top();
-    heap.pop();
-    fragments[fragment].push_back(index);
-    heap.emplace(load + database[index].length(), fragment);
-  }
-  // Keep each fragment's sequences in original database order.
-  for (auto& fragment : fragments) std::sort(fragment.begin(), fragment.end());
-  return fragments;
 }
 
 std::uint64_t total_residues(const std::vector<Sequence>& sequences) {

@@ -5,9 +5,9 @@
 ///
 /// The paper characterizes its workload by the NCBI NT database's length
 /// histogram rather than its contents; this generator produces databases
-/// and query sets with exactly such statistics, plus the database
-/// *fragmentation* step that database-segmented tools (mpiBLAST's
-/// mpiformatdb) perform.
+/// and query sets with exactly such statistics.  The simulator models
+/// fragmentation by count (`core::WorkloadModel`), so nothing here
+/// partitions a database.
 
 #include <cstdint>
 #include <vector>
@@ -35,12 +35,6 @@ struct GeneratorConfig {
 /// from the (truncated) NT query histogram.
 [[nodiscard]] std::vector<Sequence> generate_queries(std::uint64_t seed,
                                                      std::uint64_t count);
-
-/// Partitions a database into `fragment_count` fragments balanced by total
-/// residue count (greedy longest-first bin packing — what mpiformatdb
-/// approximates).  Returns per-fragment sequence indices.
-[[nodiscard]] std::vector<std::vector<std::size_t>> fragment_database(
-    const std::vector<Sequence>& database, std::uint32_t fragment_count);
 
 /// Total residues across a set of sequences.
 [[nodiscard]] std::uint64_t total_residues(const std::vector<Sequence>& sequences);

@@ -245,9 +245,10 @@ struct SimConfig {
   /// single aggregator writes for everyone.
   std::uint32_t aggregator_fanin = 4;
   /// Injected faults (empty = the paper's failure-free runs).  Worker faults
-  /// switch the master to its recovery-capable scheduling loop; server
-  /// faults translate to pfs::ServerDegradation; `crash_at` makes
-  /// run_simulation resume from the last flushed batch.
+  /// move the master from its closed-batch loop to its event loop, with
+  /// failure detection on; server faults translate to
+  /// pfs::ServerDegradation; `crash_at` makes run_simulation resume from
+  /// the last flushed batch.
   fault::FaultPlan fault{};
   /// Failure detector: a worker with outstanding work and no sign of life
   /// (no score received) for this long is declared dead and its outstanding

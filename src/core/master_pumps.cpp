@@ -31,11 +31,9 @@ sim::Process master_scores_pump(App& app) {
         co_await app.comm.recv(app.master, mpi::kAnySource, kTagScores);
     if (message.cancelled) break;
     app.master_scores.push_back(std::move(message));
-    app.scores_wake->push(0);
-    // The recovery and serving loops block on a single wake stream; mirror
-    // the token.
-    if (app.recovery_mode || app.serving != nullptr)
-      app.request_wake->push(0);
+    // The event loop blocks on a single wake stream; the closed-batch loop
+    // waits on scores separately.
+    (app.event_loop() ? app.request_wake : app.scores_wake)->push(0);
   }
 }
 
@@ -53,7 +51,7 @@ sim::Process master_join_pump(App& app) {
 }
 
 /// Serving mode: replays the precomputed arrival list in simulated time.
-/// Each firing admits (or sheds) the query and wakes the master's serving
+/// Each firing admits (or sheds) the query and wakes the master's event
 /// loop with a synthetic arrival notice; one final notice marks the stream
 /// closed so the master can re-evaluate its termination condition.
 sim::Process serving_arrival_process(App& app) {

@@ -29,6 +29,24 @@ struct Outstanding {
   std::uint32_t fragment = 0;
 };
 
+/// A master→worker message that carries no task: Done, Welcome or Finish.
+MasterMsg control_msg(MasterMsg::Kind kind) {
+  MasterMsg msg;
+  msg.kind = kind;
+  return msg;
+}
+
+MasterMsg done_msg() { return control_msg(MasterMsg::Kind::Done); }
+
+MasterMsg assign_msg(const Outstanding& task) {
+  MasterMsg msg;
+  msg.kind = MasterMsg::Kind::Assign;
+  msg.query = task.query;
+  msg.local_query = task.local;
+  msg.fragment = task.fragment;
+  return msg;
+}
+
 struct MasterState {
   std::uint32_t next_query = 0;  ///< local index of the query being assigned
   /// Unassigned fragments of `next_query` (affinity scheduling may pick any).
@@ -50,15 +68,16 @@ struct MasterState {
   /// Local queries completed but blocked behind an earlier incomplete one.
   std::set<std::uint32_t> completed_out_of_order;
 
+  /// Event loop: live workers with an unanswered work request (nothing to
+  /// hand out when they asked), answered oldest first once there is.
+  std::deque<mpi::Rank> parked;
+
   // ---- Recovery bookkeeping (recovery_mode only). ------------------------
   /// Tasks each worker has been assigned and not yet returned scores for.
   std::map<mpi::Rank, std::vector<Outstanding>> outstanding;
   /// Workers the failure detector declared dead; they get Done on any
   /// further request and are never assigned again.
   std::set<mpi::Rank> retired;
-  /// Live workers with an unanswered work request (nothing to hand out when
-  /// they asked); unparked when reassigned work appears.
-  std::deque<mpi::Rank> parked;
   /// Tasks reclaimed from retired workers, re-issued FIFO before fresh work.
   std::deque<Outstanding> reassign;
   /// Per local query: fragments whose scores were accepted (first-wins
@@ -137,7 +156,7 @@ sim::Process master_process(App& app) {
     app.record_phase(app.master, Phase::Setup, start, app.scheduler.now());
   }
 
-  // ---- Task source shared by the failure-free and recovery loops. --------
+  // ---- Task source shared by the closed-batch loop and the event loop. ---
   // Picks the next fresh (query, fragment) for `worker` (with fragment
   // affinity), updating assignment bookkeeping; nullopt when the workload
   // is fully assigned.
@@ -209,21 +228,18 @@ sim::Process master_process(App& app) {
     return task;
   };
 
-  // ---- Failure-detector helpers (recovery_mode only). --------------------
+  // ---- Failure-detector arming (recovery_mode only). ---------------------
   auto arm_probe = [&app](mpi::Rank worker) {
     App::ProbeCtl& probe = *app.probes.at(worker);
     probe.timer->arm_in(app.config.fault_detection_timeout);
     probe.armed->push(0);
   };
-  auto disarm_probe = [&app](mpi::Rank worker) {
-    app.probes.at(worker)->timer->cancel();
-  };
 
   // Algorithm 1, step 10: process one completed score receive — merge it
   // (for MW including the full result payload), then handle any queries
   // that completed, in query order (steps 14–18).
-  auto handle_score = [&app, &state, &strategy, &env, fragments, &arm_probe,
-                       &disarm_probe]() -> sim::Task<void> {
+  auto handle_score = [&app, &state, &strategy, &env, fragments,
+                       &arm_probe]() -> sim::Task<void> {
     mpi::Message event = app.master_scores.pop_front();
     S3A_CHECK(event.tag == kTagScores);
     const auto& scores = event.as<ScoresMsg>();
@@ -238,7 +254,7 @@ sim::Process master_process(App& app) {
           });
       if (it != owed.end()) owed.erase(it);
       if (!state.retired.contains(scores.worker)) {
-        disarm_probe(scores.worker);
+        app.probes.at(scores.worker)->timer->cancel();
         if (!owed.empty()) arm_probe(scores.worker);
       }
     }
@@ -290,176 +306,9 @@ sim::Process master_process(App& app) {
     }
   };
 
-  // ---- Join handshake (dynamic membership only). -------------------------
-  // The joiner pre-staged `staged_fragment` before taking work; mirror the
-  // touch so affinity scheduling sees the warm cache, then acknowledge on
-  // the ordered master→worker stream (Welcome — or, after the main loop
-  // has exited, the universal Finish turns the joiner away instead).
-  auto handle_join = [&app, &state](mpi::Message event) -> sim::Task<void> {
-    const auto& join = event.as<JoinMsg>();
-    if (app.models_database_io())
-      (void)state.cache_of(app, join.worker).touch(join.staged_fragment);
-    MasterMsg reply;
-    reply.kind = MasterMsg::Kind::Welcome;
-    const sim::Time send_start = app.scheduler.now();
-    co_await app.comm.send(app.master, join.worker, kTagMasterToWorker,
-                           app.config.model.control_message_bytes, reply);
-    app.record_phase(app.master, Phase::DataDistribution, send_start,
-                     app.scheduler.now());
-  };
-
-  if (app.serving != nullptr) {
-    // ---- Open-loop serving master loop (online arrivals). ---------------
-    // Same protocol as the failure-free loop, but the task source is the
-    // admission queue: a request finding no dispatchable work parks until
-    // an arrival (or a retirement releasing backpressure) frees some, and
-    // Done is only sent once the arrival stream is closed and drained.
-    ServingContext& serving = *app.serving;
-    auto send_reply = [&app](mpi::Rank worker,
-                             const MasterMsg& reply) -> sim::Task<void> {
-      const sim::Time send_start = app.scheduler.now();
-      co_await app.comm.send(app.master, worker, kTagMasterToWorker,
-                             app.config.model.control_message_bytes, reply);
-      app.record_phase(app.master, Phase::DataDistribution, send_start,
-                       app.scheduler.now());
-    };
-    // True once no task can ever become available again.
-    auto stream_over = [&state, &serving]() {
-      return serving.drained() && state.pending_fragments.empty();
-    };
-    auto assign_reply = [](const Outstanding& task) {
-      MasterMsg reply;
-      reply.kind = MasterMsg::Kind::Assign;
-      reply.query = task.query;
-      reply.local_query = task.local;
-      reply.fragment = task.fragment;
-      return reply;
-    };
-    auto serve_request = [&app, &state, &stream_over, &fresh_task,
-                          &assign_reply,
-                          &send_reply](mpi::Rank worker) -> sim::Task<void> {
-      if (app.registry->state(worker) == WorkerLifecycle::Draining) {
-        // Scale-down: the worker finished its outstanding task; wave it
-        // off and complete the drain.
-        MasterMsg reply;
-        reply.kind = MasterMsg::Kind::Done;
-        ++state.done_sent;
-        (void)app.registry->complete_drain(worker, app.scheduler.now());
-        co_await send_reply(worker, reply);
-        co_return;
-      }
-      if (const auto task = fresh_task(worker)) {
-        co_await send_reply(worker, assign_reply(*task));
-      } else if (stream_over()) {
-        MasterMsg reply;
-        reply.kind = MasterMsg::Kind::Done;
-        ++state.done_sent;
-        co_await send_reply(worker, reply);
-      } else {
-        state.parked.push_back(worker);
-      }
-    };
-    // Unpark waiting workers while dispatchable work (or a final Done
-    // verdict) exists for them.
-    auto feed_parked = [&app, &state, &stream_over, &fresh_task,
-                        &assign_reply, &send_reply]() -> sim::Task<void> {
-      while (!state.parked.empty()) {
-        const mpi::Rank worker = state.parked.front();
-        if (app.registry->state(worker) == WorkerLifecycle::Draining) {
-          state.parked.pop_front();
-          MasterMsg reply;
-          reply.kind = MasterMsg::Kind::Done;
-          ++state.done_sent;
-          (void)app.registry->complete_drain(worker, app.scheduler.now());
-          co_await send_reply(worker, reply);
-          continue;
-        }
-        if (const auto task = fresh_task(worker)) {
-          state.parked.pop_front();
-          co_await send_reply(worker, assign_reply(*task));
-        } else if (stream_over()) {
-          state.parked.pop_front();
-          MasterMsg reply;
-          reply.kind = MasterMsg::Kind::Done;
-          ++state.done_sent;
-          co_await send_reply(worker, reply);
-        } else {
-          break;
-        }
-      }
-    };
-    // Elastic autoscaling: one policy step per wake — summon the
-    // lowest-rank standby into the cluster, or drain the most recently
-    // joined active worker (releasing it immediately when parked: a
-    // parked worker will never request again on its own).
-    auto autoscale_step = [&app, &state, &serving,
-                           &send_reply]() -> sim::Task<void> {
-      if (app.autoscaler == nullptr) co_return;
-      WorkerRegistry& registry = *app.registry;
-      // Demand = queued + dispatched-but-unretired queries, so a lone
-      // in-service query can still summon help mid-query (its remaining
-      // fragments redistribute to the joiners).
-      const std::size_t demand =
-          serving.queue.size() + (app.query_count() - state.next_inorder);
-      const int dir = app.autoscaler->decide(
-          demand, registry.active_count(),
-          registry.count(WorkerLifecycle::Joining),
-          app.config.membership.min_workers, serving.arrivals_open,
-          app.scheduler.now());
-      if (dir > 0) {
-        if (const auto standby = registry.pick_standby()) {
-          (void)registry.begin_join(*standby, app.scheduler.now());
-          app.activations.at(*standby)->push(0);
-        }
-      } else if (dir < 0) {
-        if (const auto victim = registry.pick_drain_candidate()) {
-          (void)registry.begin_drain(*victim, app.scheduler.now());
-          const auto parked_it =
-              std::find(state.parked.begin(), state.parked.end(), *victim);
-          if (parked_it != state.parked.end()) {
-            state.parked.erase(parked_it);
-            MasterMsg reply;
-            reply.kind = MasterMsg::Kind::Done;
-            ++state.done_sent;
-            (void)registry.complete_drain(*victim, app.scheduler.now());
-            co_await send_reply(*victim, reply);
-          }
-        }
-      }
-    };
-    // Termination counts Done handshakes against *participants* (workers
-    // that ever reached Active): never-summoned standbys are released by
-    // the teardown Finish instead.  Equal to nworkers() when non-elastic.
-    while (!(stream_over() && state.tasks_completed == state.tasks_assigned &&
-             state.next_inorder == app.query_count() &&
-             state.done_sent == app.registry->participant_count())) {
-      const sim::Time wait_start = app.scheduler.now();
-      auto token = co_await app.request_wake->pop();
-      S3A_CHECK_MSG(token.has_value(), "master wake stream closed early");
-      app.record_phase(app.master, Phase::DataDistribution, wait_start,
-                       app.scheduler.now());
-      while (!app.master_requests.empty()) {
-        mpi::Message event = app.master_requests.pop_front();
-        // An arrival notice carries no reply of its own; the feed_parked
-        // pass below reacts to the new (or newly closed) stream state.
-        if (event.tag == kTagArrival) continue;
-        if (event.tag == kTagJoin) {
-          co_await handle_join(std::move(event));
-          continue;
-        }
-        S3A_CHECK(event.tag == kTagRequest);
-        co_await serve_request(event.source);
-      }
-      while (!app.master_scores.empty()) {
-        co_await handle_score();
-        if (!app.master_requests.empty()) break;  // requests take priority
-      }
-      co_await feed_parked();
-      co_await autoscale_step();
-    }
-  } else if (!app.recovery_mode) {
-    // ---- Failure-free master loop (Algorithm 1, byte-identical to the
-    //      pre-fault-subsystem behavior). --------------------------------
+  if (!app.event_loop()) {
+    // ---- Closed-batch loop (Algorithm 1, byte-identical to the
+    //      pre-fault-subsystem behavior). ---------------------------------
     while (true) {
       const bool everything_done = state.tasks_completed == total_tasks &&
                                    state.done_sent == app.nworkers() &&
@@ -482,16 +331,11 @@ sim::Process master_process(App& app) {
         mpi::Message event = app.master_requests.pop_front();
         const mpi::Rank worker = event.source;
         const sim::Time send_start = app.scheduler.now();
-        MasterMsg reply;
-        if (const auto task = fresh_task(worker)) {
-          reply.kind = MasterMsg::Kind::Assign;
-          reply.query = task->query;
-          reply.local_query = task->local;
-          reply.fragment = task->fragment;
-        } else {
-          reply.kind = MasterMsg::Kind::Done;
-          ++state.done_sent;
-        }
+        const auto task = fresh_task(worker);
+        if (!task) ++state.done_sent;
+        // Not inside the co_await: there g++ 12 evaluates both arms of a `?:`
+        // whose operands are class objects.
+        const MasterMsg reply = task ? assign_msg(*task) : done_msg();
         co_await app.comm.send(app.master, worker, kTagMasterToWorker,
                                app.config.model.control_message_bytes, reply);
         app.record_phase(app.master, Phase::DataDistribution, send_start,
@@ -511,68 +355,112 @@ sim::Process master_process(App& app) {
       }
     }
   } else {
-    // ---- Recovery-capable master loop. ---------------------------------
-    // Same protocol, plus: every assignment arms the worker's failure
-    // detector; timeouts retire the worker and requeue its outstanding
-    // tasks; late duplicate completions are discarded (handle_score).
-    // Completion is judged by results, not by Done handshakes — retired
-    // workers may never request again.
+    // ---- Event loop: serving, fault recovery and scheduled joins. -------
+    // Algorithm 1's protocol on one wake stream.  Each wake handles every
+    // queued request, join, arrival and failure notice before the scores,
+    // and a score yields to any request queued meanwhile.  A request that
+    // finds nothing to hand out parks until work appears (an arrival, a
+    // retired query releasing backpressure, tasks reclaimed from a retired
+    // worker) or Done can go out.  Under recovery, every assignment arms
+    // the worker's failure detector, timeouts retire the worker and
+    // requeue its outstanding tasks, and late duplicate completions are
+    // discarded (handle_score).
 
-    // Next task for `worker`: reclaimed tasks first (FIFO), then fresh.
-    auto pop_task = [&app, &state,
-                     &fresh_task](mpi::Rank worker) -> std::optional<Outstanding> {
+    // True once the serving stream can yield no further task.
+    auto stream_over = [&app, &state]() {
+      return app.serving != nullptr && app.serving->drained() &&
+             state.pending_fragments.empty();
+    };
+    auto finished = [&app, &state, &stream_over, total_tasks, queries]() {
+      // Recovery is judged by results, not by Done handshakes: retired
+      // workers may never request again.
+      if (app.serving == nullptr)
+        return state.tasks_completed == total_tasks &&
+               state.next_inorder == queries;
+      // Serving counts Done handshakes against *participants* (workers
+      // that ever reached Active): never-summoned standbys are released by
+      // the teardown Finish instead.  Equal to nworkers() when non-elastic.
+      return stream_over() && state.tasks_completed == state.tasks_assigned &&
+             state.next_inorder == app.query_count() &&
+             state.done_sent == app.registry->participant_count();
+    };
+    auto reply = [&app](mpi::Rank worker, MasterMsg msg) -> sim::Task<void> {
+      const sim::Time send_start = app.scheduler.now();
+      co_await app.comm.send(app.master, worker, kTagMasterToWorker,
+                             app.config.model.control_message_bytes,
+                             std::move(msg));
+      app.record_phase(app.master, Phase::DataDistribution, send_start,
+                       app.scheduler.now());
+    };
+    // Hands `task` to `worker`.  Under recovery the task is owed from now
+    // on, and the worker's failure detector is armed (arming cancels any
+    // previous deadline).
+    auto assign = [&app, &state, &arm_probe](mpi::Rank worker,
+                                             const Outstanding& task) {
+      if (app.recovery_mode) {
+        state.outstanding[worker].push_back(task);
+        arm_probe(worker);
+      }
+      return assign_msg(task);
+    };
+    // The answer to `worker`'s request, or nullopt to park it: Done for a
+    // retired or draining worker; otherwise the next task, reclaimed work
+    // first (FIFO), then fresh; otherwise Done once the serving stream is
+    // over.
+    auto answer = [&app, &state, &fresh_task, &stream_over,
+                   &assign](mpi::Rank worker) -> std::optional<MasterMsg> {
+      // A worker retired by timeout that turns out to be alive (e.g. its
+      // scores were dropped), or a scale-down victim that finished its
+      // outstanding task: wave it off.
+      if (state.retired.contains(worker)) {
+        ++state.done_sent;
+        return done_msg();
+      }
+      if (app.registry->state(worker) == WorkerLifecycle::Draining) {
+        ++state.done_sent;
+        (void)app.registry->complete_drain(worker, app.scheduler.now());
+        return done_msg();
+      }
       if (!state.reassign.empty()) {
         const Outstanding task = state.reassign.front();
         state.reassign.pop_front();
         if (app.models_database_io())
           (void)state.cache_of(app, worker).touch(task.fragment);
-        return task;
+        return assign(worker, task);
       }
-      return fresh_task(worker);
-    };
-
-    auto assign_task = [&app, &state, &arm_probe](
-                           mpi::Rank worker,
-                           Outstanding task) -> sim::Task<void> {
-      state.outstanding[worker].push_back(task);
-      arm_probe(worker);  // arming cancels any previous deadline
-      MasterMsg reply;
-      reply.kind = MasterMsg::Kind::Assign;
-      reply.query = task.query;
-      reply.local_query = task.local;
-      reply.fragment = task.fragment;
-      const sim::Time send_start = app.scheduler.now();
-      co_await app.comm.send(app.master, worker, kTagMasterToWorker,
-                             app.config.model.control_message_bytes, reply);
-      app.record_phase(app.master, Phase::DataDistribution, send_start,
-                       app.scheduler.now());
-    };
-
-    auto serve_request = [&app, &state, &pop_task,
-                          &assign_task](mpi::Rank worker) -> sim::Task<void> {
-      if (state.retired.contains(worker)) {
-        // A worker retired by timeout that turns out to be alive (e.g. its
-        // scores were dropped): wave it off.
-        MasterMsg reply;
-        reply.kind = MasterMsg::Kind::Done;
-        const sim::Time send_start = app.scheduler.now();
-        co_await app.comm.send(app.master, worker, kTagMasterToWorker,
-                               app.config.model.control_message_bytes, reply);
-        app.record_phase(app.master, Phase::DataDistribution, send_start,
-                         app.scheduler.now());
-        co_return;
+      if (const auto task = fresh_task(worker)) return assign(worker, *task);
+      if (stream_over()) {
+        ++state.done_sent;
+        return done_msg();
       }
-      if (const auto task = pop_task(worker)) {
-        co_await assign_task(worker, *task);
+      return std::nullopt;
+    };
+    auto serve_request = [&state, &answer,
+                          &reply](mpi::Rank worker) -> sim::Task<void> {
+      if (auto msg = answer(worker)) {
+        co_await reply(worker, std::move(*msg));
       } else {
-        // Nothing to hand out right now; the request stays unanswered until
-        // reassigned work appears or the run finishes (Finish releases it).
+        // The request stays unanswered until work appears or the run
+        // finishes (Finish releases it).
         state.parked.push_back(worker);
       }
     };
+    // Answers parked workers, oldest first, while there is something to
+    // answer them with.  Under recovery a worker parks only once fresh work
+    // has run out, so this hands out reclaimed tasks and nothing else.
+    auto feed_parked = [&state, &answer, &reply]() -> sim::Task<void> {
+      while (!state.parked.empty()) {
+        auto msg = answer(state.parked.front());
+        if (!msg) break;
+        const mpi::Rank worker = state.parked.front();
+        state.parked.pop_front();
+        co_await reply(worker, std::move(*msg));
+      }
+    };
 
-    auto handle_failure = [&app, &state, &strategy, &arm_probe, &pop_task,
-                           &assign_task](mpi::Rank worker) -> sim::Task<void> {
+    auto handle_failure = [&app, &state, &strategy, &arm_probe, &assign,
+                           &reply,
+                           &feed_parked](mpi::Rank worker) -> sim::Task<void> {
       if (state.retired.contains(worker)) co_return;
       auto& owed = state.outstanding[worker];
       if (owed.empty()) co_return;  // everything accounted for; stale expiry
@@ -617,24 +505,19 @@ sim::Process master_process(App& app) {
       S3A_REQUIRE_MSG(state.retired.size() < app.workers.size(),
                       "unrecoverable: every worker of a group failed");
       // If the retiree was parked (scores dropped, then asked for work we
-      // did not have), release it so it can reach the final barrier.
+      // did not have), release it so it can reach the final barrier.  This
+      // Done bypasses `reply`: it stays out of the master's
+      // DataDistribution time.
       const auto parked_it =
           std::find(state.parked.begin(), state.parked.end(), worker);
       if (parked_it != state.parked.end()) {
         state.parked.erase(parked_it);
-        MasterMsg reply;
-        reply.kind = MasterMsg::Kind::Done;
         co_await app.comm.send(app.master, worker, kTagMasterToWorker,
-                               app.config.model.control_message_bytes, reply);
+                               app.config.model.control_message_bytes,
+                               done_msg());
       }
       // Feed the reclaimed tasks to survivors that are waiting for work.
-      while (!state.reassign.empty() && !state.parked.empty()) {
-        const mpi::Rank survivor = state.parked.front();
-        state.parked.pop_front();
-        const auto task = pop_task(survivor);
-        S3A_CHECK(task.has_value());
-        co_await assign_task(survivor, *task);
-      }
+      co_await feed_parked();
       // Flush-blocking strategies: the survivors may all be defer-blocked
       // (no parked requests, and none coming — a deferred worker only
       // requests again once the stuck collective completes).  Push the
@@ -663,25 +546,69 @@ sim::Process master_process(App& app) {
           } while (state.retired.contains(survivor));
           if (app.models_database_io())
             (void)state.cache_of(app, survivor).touch(task.fragment);
-          co_await assign_task(survivor, task);
+          co_await reply(survivor, assign(survivor, task));
         }
       }
     };
 
-    while (!(state.tasks_completed == total_tasks &&
-             state.next_inorder == queries)) {
+    // Elastic autoscaling: one policy step per wake — summon the
+    // lowest-rank standby into the cluster, or drain the most recently
+    // joined active worker (releasing it immediately when parked: a
+    // parked worker will never request again on its own).
+    auto autoscale_step = [&app, &state,
+                           &serve_request]() -> sim::Task<void> {
+      WorkerRegistry& registry = *app.registry;
+      // Demand = queued + dispatched-but-unretired queries, so a lone
+      // in-service query can still summon help mid-query (its remaining
+      // fragments redistribute to the joiners).
+      const std::size_t demand =
+          app.serving->queue.size() + (app.query_count() - state.next_inorder);
+      const int dir = app.autoscaler->decide(
+          demand, registry.active_count(),
+          registry.count(WorkerLifecycle::Joining),
+          app.config.membership.min_workers, app.serving->arrivals_open,
+          app.scheduler.now());
+      if (dir > 0) {
+        if (const auto standby = registry.pick_standby()) {
+          (void)registry.begin_join(*standby, app.scheduler.now());
+          app.activations.at(*standby)->push(0);
+        }
+      } else if (dir < 0) {
+        if (const auto victim = registry.pick_drain_candidate()) {
+          (void)registry.begin_drain(*victim, app.scheduler.now());
+          const auto parked_it =
+              std::find(state.parked.begin(), state.parked.end(), *victim);
+          if (parked_it != state.parked.end()) {
+            state.parked.erase(parked_it);
+            co_await serve_request(*victim);  // Done: it is draining
+          }
+        }
+      }
+    };
+
+    while (!finished()) {
       const sim::Time wait_start = app.scheduler.now();
       auto token = co_await app.request_wake->pop();
       S3A_CHECK_MSG(token.has_value(), "master wake stream closed early");
       app.record_phase(app.master, Phase::DataDistribution, wait_start,
                        app.scheduler.now());
-      // Requests (and failure notices) before scores, as in Algorithm 1.
       while (!app.master_requests.empty()) {
         mpi::Message event = app.master_requests.pop_front();
-        if (event.tag == kTagFailure) {
+        if (event.tag == kTagArrival) {
+          // An arrival notice carries no reply of its own; feed_parked
+          // below reacts to the new (or newly closed) stream state.
+        } else if (event.tag == kTagFailure) {
           co_await handle_failure(event.source);
         } else if (event.tag == kTagJoin) {
-          co_await handle_join(std::move(event));
+          // The joiner pre-staged `staged_fragment` before taking work:
+          // mirror the touch so affinity scheduling sees the warm cache,
+          // then acknowledge on the ordered master→worker stream (Welcome
+          // — or, after this loop has exited, the universal Finish turns
+          // the joiner away instead).
+          const auto& join = event.as<JoinMsg>();
+          if (app.models_database_io())
+            (void)state.cache_of(app, join.worker).touch(join.staged_fragment);
+          co_await reply(join.worker, control_msg(MasterMsg::Kind::Welcome));
         } else {
           S3A_CHECK(event.tag == kTagRequest);
           co_await serve_request(event.source);
@@ -691,6 +618,8 @@ sim::Process master_process(App& app) {
         co_await handle_score();
         if (!app.master_requests.empty()) break;  // requests take priority
       }
+      if (!state.parked.empty()) co_await feed_parked();
+      if (app.autoscaler != nullptr) co_await autoscale_step();
     }
   }
 
@@ -708,12 +637,10 @@ sim::Process master_process(App& app) {
   // it) before the workers are told to finish, so every lease conflict is
   // settled ahead of the final barrier.
   co_await app.fs.release_client(app.master);
-  for (const mpi::Rank worker : app.workers) {
-    MasterMsg msg;
-    msg.kind = MasterMsg::Kind::Finish;
+  for (const mpi::Rank worker : app.workers)
     app.comm.post(app.master, worker, kTagMasterToWorker,
-                  app.config.model.control_message_bytes, msg);
-  }
+                  app.config.model.control_message_bytes,
+                  control_msg(MasterMsg::Kind::Finish));
   {
     const sim::Time barrier_start = app.scheduler.now();
     co_await app.comm.barrier();

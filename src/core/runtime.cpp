@@ -72,8 +72,9 @@ App::App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
     autoscaler = std::make_unique<AutoscalePolicy>(
         config.membership.autoscale_target,
         config.membership.autoscale_cooldown);
-  // Scheduled closed-batch joins ride the recovery loop (its termination
-  // condition counts results, not workers); elastic rides the serving loop.
+  // Scheduled closed-batch joins take the event loop's recovery branch
+  // (its termination condition counts results, not workers); elastic
+  // takes its serving branch.
   recovery_mode = config.fault.perturbs_workers() ||
                   (config.membership.dynamic() && !config.serving.enabled());
   if (recovery_mode) {

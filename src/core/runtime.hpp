@@ -111,7 +111,7 @@ struct App {
   std::unique_ptr<sim::Channel<int>> scores_wake;
 
   /// Open-loop serving state (ISSUE 6): non-null only when
-  /// `config.serving.enabled()` — the master runs its serving loop and an
+  /// `config.serving.enabled()` — the master runs its event loop and an
   /// arrival process feeds the admission queue.  Closed-batch runs never
   /// consult it.
   std::unique_ptr<ServingContext> serving;
@@ -132,8 +132,8 @@ struct App {
   std::unique_ptr<AutoscalePolicy> autoscaler;
 
   // ---- Fault-injection / recovery state (inert on failure-free runs). ----
-  /// True when the plan perturbs workers: the master runs its
-  /// recovery-capable loop and arms per-worker failure detectors.
+  /// True when the plan perturbs workers or schedules joins: the master
+  /// runs its event loop and arms per-worker failure detectors.
   bool recovery_mode = false;
   /// Per-worker failure detector: the master arms `timer` whenever the
   /// worker owes results and pushes a token into `armed`; the probe process
@@ -196,6 +196,12 @@ struct App {
   [[nodiscard]] bool per_query_msgs_to_all() const noexcept {
     return env->per_query_msgs_to_all;
   }
+  /// True when the master runs its event loop (serving, fault recovery,
+  /// scheduled joins), which wakes on `request_wake` alone; false for
+  /// Algorithm 1's closed-batch loop, which also waits on `scores_wake`.
+  [[nodiscard]] bool event_loop() const noexcept {
+    return recovery_mode || serving != nullptr;
+  }
   [[nodiscard]] std::uint32_t nworkers() const noexcept {
     return static_cast<std::uint32_t>(workers.size());
   }
@@ -257,7 +263,7 @@ sim::Process master_scores_pump(App& app);
 sim::Process master_join_pump(App& app);
 sim::Process worker_probe(App& app, mpi::Rank rank);
 /// Serving mode only: fires each arrival at its simulated time, admits or
-/// sheds it, and wakes the master's serving loop.
+/// sheds it, and wakes the master's event loop.
 sim::Process serving_arrival_process(App& app);
 
 // ---- worker_runtime.cpp (Algorithm 2) -------------------------------------

@@ -11,7 +11,7 @@
 /// regime: deterministic arrival generation (per-tenant Poisson streams or
 /// trace replay), the bounded admission queue with its dispatch policies,
 /// and the master-side serving context.  The simulated-time glue (the
-/// arrival process and the serving master loop) lives in the runtime.
+/// arrival process and the master's event loop) lives in the runtime.
 ///
 /// Everything here is inert unless `SimConfig::serving.enabled()` —
 /// closed-batch runs take none of these paths and stay byte-identical.
@@ -186,7 +186,7 @@ struct ServingContext {
 };
 
 /// Elastic scaling policy (ISSUE 10): holds a demand target and a
-/// cooldown, and decides — one step per serving-loop wake — whether to
+/// cooldown, and decides — one step per event-loop wake — whether to
 /// summon a standby (+1), drain the most recently joined active worker
 /// (−1), or hold (0).  Pure arithmetic over the registry's counters;
 /// the master owns the actual transitions.

@@ -97,9 +97,9 @@ struct FaultPlan {
   }
 
   /// True when any fault touches worker behavior or message flow — the
-  /// switch that selects the core's recovery-capable master loop.  Pure
-  /// server degradations and whole-run crashes do not perturb the
-  /// master/worker protocol.
+  /// switch that moves the core's master from its closed-batch loop to its
+  /// event loop, with failure detection on.  Pure server degradations and
+  /// whole-run crashes do not perturb the master/worker protocol.
   [[nodiscard]] bool perturbs_workers() const noexcept {
     return !kills.empty() || !slowdowns.empty() || !delays.empty() ||
            !drops.empty();

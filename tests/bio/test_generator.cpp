@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
+#include <string>
 
 namespace {
 
@@ -87,57 +87,6 @@ TEST(GenerateQueriesTest, PaperQuerySetSizeIsAbout86KiB) {
   const auto total = total_residues(queries);
   EXPECT_GT(total, 86'000u / 3);
   EXPECT_LT(total, 86'000u * 3);
-}
-
-TEST(FragmentDatabaseTest, EveryFragmentNonEmptyAndDisjoint) {
-  const auto database = generate_sequences(small_config(), 64);
-  const auto fragments = fragment_database(database, 8);
-  ASSERT_EQ(fragments.size(), 8u);
-  std::set<std::size_t> seen;
-  for (const auto& fragment : fragments) {
-    EXPECT_FALSE(fragment.empty());
-    for (const std::size_t index : fragment) {
-      EXPECT_TRUE(seen.insert(index).second) << "sequence in two fragments";
-    }
-  }
-  EXPECT_EQ(seen.size(), database.size());
-}
-
-TEST(FragmentDatabaseTest, BalancedByResidues) {
-  auto config = small_config();
-  config.length_histogram = BoxHistogram{{HistogramBin{100, 10'000, 1.0}}};
-  const auto database = generate_sequences(config, 200);
-  const auto fragments = fragment_database(database, 4);
-  std::vector<std::uint64_t> loads;
-  for (const auto& fragment : fragments) {
-    std::uint64_t load = 0;
-    for (const std::size_t index : fragment) load += database[index].length();
-    loads.push_back(load);
-  }
-  const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
-  EXPECT_LT(static_cast<double>(*hi - *lo),
-            0.15 * static_cast<double>(*hi));  // within 15%
-}
-
-TEST(FragmentDatabaseTest, MoreFragmentsThanSequences) {
-  const auto database = generate_sequences(small_config(), 3);
-  const auto fragments = fragment_database(database, 8);
-  std::size_t non_empty = 0;
-  for (const auto& fragment : fragments)
-    if (!fragment.empty()) ++non_empty;
-  EXPECT_EQ(non_empty, 3u);
-}
-
-TEST(FragmentDatabaseTest, FragmentsPreserveOrderWithin) {
-  const auto database = generate_sequences(small_config(), 32);
-  const auto fragments = fragment_database(database, 4);
-  for (const auto& fragment : fragments)
-    EXPECT_TRUE(std::is_sorted(fragment.begin(), fragment.end()));
-}
-
-TEST(FragmentDatabaseTest, RejectsZeroFragments) {
-  const auto database = generate_sequences(small_config(), 4);
-  EXPECT_THROW((void)fragment_database(database, 0), std::invalid_argument);
 }
 
 TEST(TotalResiduesTest, SumsLengths) {

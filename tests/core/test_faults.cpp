@@ -54,8 +54,8 @@ TEST(FaultRegressionTest, EmptyPlanIsByteIdenticalToDefault) {
 }
 
 TEST(FaultRegressionTest, HarmlessPlanMatchesBaselineClosely) {
-  // factor=1 slowdown: zero perturbation, but it switches the master to the
-  // recovery loop — results must agree with the failure-free loop (wall may
+  // factor=1 slowdown: zero perturbation, but it switches the master to its
+  // event loop — results must agree with the closed-batch loop (wall may
   // differ by a few control messages' worth of protocol slack).
   auto config = fault_test_config(Strategy::WWList);
   const auto baseline = run_simulation(config);
@@ -110,9 +110,9 @@ TEST_P(WorkerDeathTest, DeathNearEndAfterScoresRecoversAndVerifies) {
   const auto baseline = run_simulation(config);
   // Die at 70% of the way to the last batch completion: scores for most
   // assignments are already submitted, but the death still lands before the
-  // run ends (the recovery-capable master loop wakes on scores as well as
-  // requests and can finish noticeably earlier than the failure-free
-  // baseline, so late fractions of the baseline wall can miss the run).
+  // run ends (the master's event loop wakes on scores as well as requests
+  // and can finish noticeably earlier than the closed-batch baseline, so
+  // late fractions of the baseline wall can miss the run).
   ASSERT_FALSE(baseline.batch_complete_seconds.empty());
   config.fault.kills.push_back(fault::WorkerKill{
       1, fraction_of_wall(baseline.batch_complete_seconds.back(), 0.7)});
@@ -170,9 +170,9 @@ TEST(MessageFaultTest, CertainDropsRetireTheWorkerAndStillVerify) {
 }
 
 TEST(MessageFaultTest, DelayedScoresOnlyAddLatency) {
-  // Baseline with a zero delay: same recovery-capable master loop (whose
-  // protocol slack differs slightly from the failure-free loop), so the
-  // comparison isolates the injected latency.
+  // Baseline with a zero delay: same master event loop (whose protocol
+  // slack differs slightly from the closed-batch loop), so the comparison
+  // isolates the injected latency.
   auto config = fault_test_config(Strategy::WWList);
   config.fault = fault::parse_fault_plan("delay:worker=1,by=0");
   const auto baseline = run_simulation(config);
