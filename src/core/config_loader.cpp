@@ -1,6 +1,8 @@
 #include "core/config_loader.hpp"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,6 +30,20 @@ mpiio::NoncontigMethod parse_read_method(const std::string& name) {
                               "' (expected 'posix', 'list' or 'sieve')");
 }
 
+/// An unsigned 32-bit key's value, or `fallback` when the key is absent.
+/// A value outside [min, 2^32 - 1] is rejected instead of wrapping: a
+/// wrapped count asks for billions of ranks, servers or results.
+std::uint32_t get_u32(const util::KeyValConfig& keyval, const std::string& key,
+                      std::uint32_t fallback, std::uint32_t min) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t value = keyval.get_int(key, fallback);
+  if (value < min || value > kMax)
+    throw std::invalid_argument("key '" + key + "': " + std::to_string(value) +
+                                " is outside [" + std::to_string(min) + ", " +
+                                std::to_string(kMax) + "]");
+  return static_cast<std::uint32_t>(value);
+}
+
 }  // namespace
 
 SimConfig load_config(const std::string& config_text) {
@@ -35,21 +51,17 @@ SimConfig load_config(const std::string& config_text) {
   SimConfig config = paper_config();
 
   // --- Run shape. -----------------------------------------------------------
-  config.nprocs = static_cast<std::uint32_t>(
-      keyval.get_int("nprocs", config.nprocs));
-  const std::int64_t groups = keyval.get_int("groups", config.groups);
-  if (groups < 1)
-    throw std::invalid_argument("key 'groups': must be at least 1 (got " +
-                                std::to_string(groups) + ")");
-  config.groups = static_cast<std::uint32_t>(groups);
+  // A master and at least one worker.
+  config.nprocs = get_u32(keyval, "nprocs", config.nprocs, 2);
+  config.groups = get_u32(keyval, "groups", config.groups, 1);
   config.strategy =
       parse_strategy(keyval.get_string("strategy", strategy_name(config.strategy)));
   config.query_sync = keyval.get_bool("query_sync", config.query_sync);
   config.compute_speed = keyval.get_double("compute_speed", config.compute_speed);
   config.compute_speed_jitter =
       keyval.get_double("compute_speed_jitter", config.compute_speed_jitter);
-  config.queries_per_flush = static_cast<std::uint32_t>(
-      keyval.get_int("queries_per_flush", config.queries_per_flush));
+  config.queries_per_flush =
+      get_u32(keyval, "queries_per_flush", config.queries_per_flush, 1);
   config.sync_after_write =
       keyval.get_bool("sync_after_write", config.sync_after_write);
   config.worker_memory_bytes =
@@ -58,25 +70,22 @@ SimConfig load_config(const std::string& config_text) {
       keyval.get_bool("fragment_affinity", config.fragment_affinity);
   config.mw_nonblocking_io =
       keyval.get_bool("mw_nonblocking_io", config.mw_nonblocking_io);
-  const std::int64_t fanin =
-      keyval.get_int("aggregator_fanin", config.aggregator_fanin);
-  if (fanin < 0)
-    throw std::invalid_argument(
-        "aggregator_fanin must be non-negative (0 = one group per run)");
-  config.aggregator_fanin = static_cast<std::uint32_t>(fanin);
+  // 0 = one aggregation group per run.
+  config.aggregator_fanin =
+      get_u32(keyval, "aggregator_fanin", config.aggregator_fanin, 0);
 
   // --- Workload. --------------------------------------------------------------
   auto& workload = config.workload;
   workload.seed = static_cast<std::uint64_t>(
       keyval.get_int("seed", static_cast<std::int64_t>(workload.seed)));
-  workload.query_count = static_cast<std::uint32_t>(
-      keyval.get_int("query_count", workload.query_count));
-  workload.fragment_count = static_cast<std::uint32_t>(
-      keyval.get_int("fragment_count", workload.fragment_count));
-  workload.result_count_min = static_cast<std::uint32_t>(
-      keyval.get_int("result_count_min", workload.result_count_min));
-  workload.result_count_max = static_cast<std::uint32_t>(
-      keyval.get_int("result_count_max", workload.result_count_max));
+  workload.query_count =
+      get_u32(keyval, "query_count", workload.query_count, 1);
+  workload.fragment_count =
+      get_u32(keyval, "fragment_count", workload.fragment_count, 1);
+  workload.result_count_min =
+      get_u32(keyval, "result_count_min", workload.result_count_min, 1);
+  workload.result_count_max =
+      get_u32(keyval, "result_count_max", workload.result_count_max, 1);
   workload.min_result_bytes =
       keyval.get_bytes("min_result_bytes", workload.min_result_bytes);
   workload.size_scale = keyval.get_double("size_scale", workload.size_scale);
@@ -98,8 +107,8 @@ SimConfig load_config(const std::string& config_text) {
                         model.network.bandwidth_bps / 1e6) * 1e6;
   const std::uint64_t strip = keyval.get_bytes(
       "strip_size", model.pfs.layout.strip_size());
-  const std::uint32_t servers = static_cast<std::uint32_t>(
-      keyval.get_int("server_count", model.pfs.layout.server_count()));
+  const std::uint32_t servers =
+      get_u32(keyval, "server_count", model.pfs.layout.server_count(), 1);
   model.pfs.layout = pfs::Layout(strip, servers);
 
   // --- Client-side cache (ISSUE 8; all optional — default = cache off). ----
@@ -158,8 +167,8 @@ SimConfig load_config(const std::string& config_text) {
       "compute_ns_per_byte", model.compute_ns_per_result_byte);
 
   // --- Hints. -----------------------------------------------------------------
-  config.hints.cb_nodes = static_cast<std::uint32_t>(
-      keyval.get_int("cb_nodes", config.hints.cb_nodes));
+  // 0 = every participant aggregates.
+  config.hints.cb_nodes = get_u32(keyval, "cb_nodes", config.hints.cb_nodes, 0);
   config.hints.cb_buffer_size =
       keyval.get_bytes("cb_buffer_size", config.hints.cb_buffer_size);
   config.hints.two_phase_round_overhead = sim::milliseconds(keyval.get_double(
@@ -196,11 +205,7 @@ SimConfig load_config(const std::string& config_text) {
   if (keyval.has("admit_policy"))
     serving.policy =
         parse_admit_policy(keyval.get_string("admit_policy", ""));
-  const std::int64_t depth =
-      keyval.get_int("admit_depth", serving.admit_depth);
-  if (depth < 1)
-    throw std::invalid_argument("admit_depth must be at least 1");
-  serving.admit_depth = static_cast<std::uint32_t>(depth);
+  serving.admit_depth = get_u32(keyval, "admit_depth", serving.admit_depth, 1);
   serving.inflight_watermark_bytes = keyval.get_bytes(
       "inflight_watermark", serving.inflight_watermark_bytes);
   if (keyval.has("tenants"))
@@ -217,11 +222,8 @@ SimConfig load_config(const std::string& config_text) {
   if (keyval.has("joins"))
     membership.joins = parse_joins(keyval.get_string("joins", ""));
   membership.elastic = keyval.get_bool("elastic", membership.elastic);
-  const std::int64_t min_workers =
-      keyval.get_int("min_workers", membership.min_workers);
-  if (min_workers < 0)
-    throw std::invalid_argument("key 'min_workers': must be non-negative");
-  membership.min_workers = static_cast<std::uint32_t>(min_workers);
+  membership.min_workers =
+      get_u32(keyval, "min_workers", membership.min_workers, 0);
   membership.autoscale_target =
       keyval.get_double("autoscale_target", membership.autoscale_target);
   if (membership.autoscale_target <= 0.0)

@@ -98,7 +98,7 @@ bool serving_admit(App& app, MasterState& state) {
   state.next_query = app.query_count();
   app.queries.push_back(next.query);
   app.region_bases.push_back(app.group_output_bytes);
-  const std::uint64_t bytes = app.workload.query(next.query).total_bytes;
+  const std::uint64_t bytes = app.workload.summary(next.query).total_bytes;
   app.group_output_bytes += bytes;
   state.fragments_done.push_back(0);
   state.contributors.emplace_back();
@@ -261,7 +261,7 @@ sim::Process master_process(App& app) {
     {
       const sim::Time merge_start = app.scheduler.now();
       const auto count = static_cast<sim::Time>(
-          app.workload.query(scores.query).by_fragment(scores.fragment).size());
+          app.workload.summary(scores.query).fragment_results[scores.fragment]);
       sim::Time merge_time = count * app.config.model.master_merge_per_entry;
       merge_time +=
           strategy.master_merge_extra(env, scores.query, scores.fragment);
@@ -301,7 +301,7 @@ sim::Process master_process(App& app) {
         if (app.serving != nullptr)
           app.serving->on_retired(
               app.queries[local], app.scheduler.now(),
-              app.workload.query(app.queries[local]).total_bytes);
+              app.workload.summary(app.queries[local]).total_bytes);
       }
     }
   };

@@ -17,7 +17,7 @@ pfs::PfsParams faulted_pfs(const SimConfig& cfg) {
 
 World::World(const SimConfig& cfg)
     : config(cfg),
-      workload(cfg.workload),
+      workload(cfg.workload, worker_writes(cfg.strategy)),
       scheduler(),
       network(scheduler, cfg.nprocs + cfg.model.pfs.layout.server_count(),
               cfg.model.network),
@@ -90,7 +90,7 @@ App::App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
   std::uint64_t cursor = 0;
   for (const std::uint32_t query : queries) {
     region_bases.push_back(cursor);
-    cursor += workload.query(query).total_bytes;
+    cursor += workload.summary(query).total_bytes;
   }
   group_output_bytes = cursor;
 

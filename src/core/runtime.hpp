@@ -51,6 +51,7 @@ struct World {
   void attach_observability(const Observability& observe);
 
   const SimConfig& config;
+  /// Builds per-result layouts only when the strategy ships offset lists.
   WorkloadModel workload;
   sim::Scheduler scheduler;
   net::Network network;

@@ -43,6 +43,7 @@ using QueryContributors = std::vector<std::pair<mpi::Rank, std::uint32_t>>;
 /// Offset service: the group's output-file layout.  Maps a group-local
 /// query to its region and expands a worker's contributed fragments into
 /// the coalesced file extents of its results (the offset lists of §2.2).
+/// Only `worker_extents` reads per-result layouts; the rest reads sizes.
 class OffsetService {
  public:
   OffsetService(const WorkloadModel& workload,
@@ -61,7 +62,7 @@ class OffsetService {
     return (*region_bases_)[local];
   }
   [[nodiscard]] std::uint64_t region_length(std::uint32_t local) const {
-    return workload_->query((*queries_)[local]).total_bytes;
+    return workload_->summary((*queries_)[local]).total_bytes;
   }
   /// Formatted size of one (query, fragment) result block (global query id).
   [[nodiscard]] std::uint64_t result_bytes(std::uint32_t query,

@@ -5,6 +5,7 @@
 /// group strategy's `flush` hook; notification-only strategies (MW, N-N)
 /// never flush at all.
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <set>
@@ -137,9 +138,9 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
   };
 
   // Steps 6-10 of Algorithm 2 for one (query, fragment) assignment:
-  // search, merge, ship scores (and results for MW), request the next task.
-  // Returns true if the worker's planned death interrupted the search (the
-  // caller must then die() and stop).
+  // search, merge, ship scores (and results for MW); the caller then
+  // requests the next task.  Returns true if the worker's planned death
+  // interrupted the search (the caller must then die() and stop).
   auto process_assignment =
       [&app, &state, &strategy, &env, &model, rank,
        death_at](std::uint32_t local, std::uint32_t query,
@@ -172,7 +173,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
     const std::uint64_t result_bytes =
         app.workload.fragment_result_bytes(query, fragment);
     const std::uint64_t count =
-        app.workload.query(query).by_fragment(fragment).size();
+        app.workload.summary(query).fragment_results[fragment];
 
     // ---- Step 8: merge with previous results for this query. -----------
     if (strategy.worker_writes()) {
@@ -221,18 +222,13 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
     // ---- Strategy hook: results are computed and the scores are on the
     // wire (N-N appends to its private file here). ------------------------
     co_await strategy.on_results_ready(env, rank, result_bytes);
-
-    // ---- Step 3 again: request the next task. ---------------------------
-    {
-      const sim::Time start = app.scheduler.now();
-      co_await app.comm.send(rank, app.master, kTagRequest,
-                             model.control_message_bytes);
-      state.awaiting_response = true;
-      app.record_phase(rank, Phase::DataDistribution, start,
-                       app.scheduler.now());
-    }
     co_return false;
   };
+
+  // Set whenever the worker owes the master a work request (step 3): after
+  // setup, after each search, and once a join is welcomed.  The event loop
+  // sends it before anything else, at the same instant the owing step ends.
+  bool request_task = false;
 
   // ---- Step 1: receive input variables — or, for a worker provisioned
   // outside the cluster (scheduled joiner / elastic standby), wait for the
@@ -271,9 +267,12 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
       (void)co_await app.comm.recv(rank, app.master, kTagSetup);
       app.record_phase(rank, Phase::Setup, start, app.scheduler.now());
     }
+    request_task = true;
+  }
 
-    // First work request.
-    {
+  while (true) {
+    if (request_task) {
+      request_task = false;
       const sim::Time start = app.scheduler.now();
       co_await app.comm.send(rank, app.master, kTagRequest,
                              model.control_message_bytes);
@@ -281,9 +280,28 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
       app.record_phase(rank, Phase::DataDistribution, start,
                        app.scheduler.now());
     }
-  }
+    // Resume an assignment that was blocked on a flush which has since
+    // completed (§2.3).  Deferred entries are not necessarily batch-ordered
+    // (a reclaimed task for an earlier query can arrive after a fresh one
+    // for a later query), so scan rather than pop the front.  Entries only
+    // become runnable when the flush advances `current_batch`, so this
+    // finds none on any other pass.
+    if (const auto ready = std::find_if(
+            state.deferred.begin(), state.deferred.end(),
+            [&app, &state](const auto& task) {
+              return app.batch_of(std::get<0>(task)) <= state.current_batch;
+            });
+        ready != state.deferred.end()) {
+      const auto [local, query, fragment] = *ready;
+      state.deferred.erase(ready);
+      if (co_await process_assignment(local, query, fragment)) {
+        die();
+        co_return;
+      }
+      request_task = true;
+      continue;
+    }
 
-  while (true) {
     const sim::Time wait_start = app.scheduler.now();
     auto event = co_await app.events[app.registry->position(rank)]->pop();
     const sim::Time wait_end = app.scheduler.now();
@@ -302,7 +320,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
             app.batch_of(msg.local_query) > state.current_batch) {
           // §2.3: the flush blocks the process, so an assignment for an
           // upcoming query cannot start until the pending write completes.
-          // Hold it; the flush handler resumes it.
+          // Hold it; the event loop resumes it once the flush is done.
           state.deferred.emplace_back(msg.local_query, msg.query, msg.fragment);
         } else {
           if (co_await process_assignment(msg.local_query, msg.query,
@@ -310,6 +328,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
             die();
             co_return;
           }
+          request_task = true;
         }
         break;
       }
@@ -354,27 +373,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
             } else {
               co_await worker_flush(app, rank, state, msg.local_query);
             }
-            // Resume assignments that were blocked on this flush.
-            // Deferred entries are not necessarily batch-ordered (a
-            // reclaimed task for an earlier query can arrive after a fresh
-            // one for a later query), so scan rather than pop the front.
-            bool progressed = true;
-            while (progressed) {
-              progressed = false;
-              for (auto it = state.deferred.begin(); it != state.deferred.end();
-                   ++it) {
-                if (app.batch_of(std::get<0>(*it)) > state.current_batch)
-                  continue;
-                const auto [local, query, fragment] = *it;
-                state.deferred.erase(it);
-                if (co_await process_assignment(local, query, fragment)) {
-                  die();
-                  co_return;
-                }
-                progressed = true;
-                break;  // the erase invalidated the iterator; rescan
-              }
-            }
+            // The event loop now resumes the assignments this flush held.
           }
         } else {
           // Contributor-only mode: flush when the batch boundary is crossed.
@@ -403,14 +402,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
         }
         (void)app.registry->activate(rank, app.scheduler.now());
         // Now a full cluster member: request the first task.
-        {
-          const sim::Time start = app.scheduler.now();
-          co_await app.comm.send(rank, app.master, kTagRequest,
-                                 model.control_message_bytes);
-          state.awaiting_response = true;
-          app.record_phase(rank, Phase::DataDistribution, start,
-                           app.scheduler.now());
-        }
+        request_task = true;
         break;
       }
 

@@ -21,7 +21,8 @@ void counts_to_first_slots(std::span<std::uint32_t> start) {
 
 }  // namespace
 
-WorkloadModel::WorkloadModel(WorkloadConfig config) : config_(std::move(config)) {
+WorkloadModel::WorkloadModel(WorkloadConfig config, bool build_layouts)
+    : config_(std::move(config)), build_layouts_(build_layouts) {
   S3A_REQUIRE(config_.query_count >= 1);
   S3A_REQUIRE(config_.fragment_count >= 1);
   S3A_REQUIRE(config_.result_count_min >= 1);
@@ -65,9 +66,9 @@ std::vector<std::uint32_t> score_order(
   return order;
 }
 
-void WorkloadModel::generate(std::uint32_t q) const {
+const QueryWorkload& WorkloadModel::generate(std::uint32_t q) const {
   S3A_REQUIRE(q < config_.query_count);
-  if (cache_[q]) return;
+  if (cache_[q]) return *cache_[q];
 
   // Independent stream per query: results do not depend on generation order.
   util::Xoshiro256 root(config_.seed);
@@ -83,55 +84,76 @@ void WorkloadModel::generate(std::uint32_t q) const {
 
   const std::uint32_t count = static_cast<std::uint32_t>(
       rng.uniform_u64(config_.result_count_min, config_.result_count_max));
-  // Results in draw order; fragment_start[f + 1] counts fragment f's.
-  std::vector<std::uint64_t> scores(count);
-  std::vector<ResultInfo> drawn(count);
-  workload->fragment_start.assign(config_.fragment_count + 1, 0);
+  const std::uint64_t query_length = workload->query_length;
+  workload->result_count = count;
+  workload->fragment_results.assign(config_.fragment_count, 0);
+  workload->fragment_bytes.assign(config_.fragment_count, 0);
+  std::uint32_t* const fragment_results = workload->fragment_results.data();
+  std::uint64_t* const fragment_bytes = workload->fragment_bytes.data();
+  std::uint64_t total_bytes = 0;
+  // A layout needs every result in draw order; a summary only the sums.
+  std::vector<std::uint64_t> scores(build_layouts_ ? count : 0);
+  std::vector<ResultInfo> drawn(scores.size());
   for (std::uint32_t i = 0; i < count; ++i) {
-    ResultInfo& result = drawn[i];
-    result.score = scores[i] = rng();
+    const std::uint64_t score = rng();
     const std::uint64_t db_len = config_.database_histogram.sample(rng);
     // Paper §3: result size ranges from the minimum result size up to
     // 3 × max(query length, matching database sequence length).
     const double raw_cap =
         config_.size_scale *
-        3.0 * static_cast<double>(std::max(workload->query_length, db_len));
+        3.0 * static_cast<double>(std::max(query_length, db_len));
     const auto cap = std::max(
         config_.min_result_bytes,
         static_cast<std::uint64_t>(raw_cap));
-    result.bytes = rng.uniform_u64(config_.min_result_bytes, cap);
-    result.fragment = static_cast<std::uint32_t>(
+    const std::uint64_t bytes = rng.uniform_u64(config_.min_result_bytes, cap);
+    const auto fragment = static_cast<std::uint32_t>(
         rng.uniform_u64(0, config_.fragment_count - 1));
-    ++workload->fragment_start[result.fragment + 1];
+    ++fragment_results[fragment];
+    fragment_bytes[fragment] += bytes;
+    total_bytes += bytes;
+    if (build_layouts_) {
+      scores[i] = score;
+      drawn[i] = ResultInfo{score, bytes, fragment};
+    }
   }
+  workload->total_bytes = total_bytes;
 
-  // Final file order: descending score, ties by draw index.
-  workload->results.resize(count);
-  const std::vector<std::uint32_t> order = score_order(scores);
-  for (std::uint32_t pos = 0; pos < count; ++pos)
-    workload->results[pos] = drawn[order[pos]];
+  if (build_layouts_) {
+    // Final file order: descending score, ties by draw index.
+    workload->results.resize(count);
+    const std::vector<std::uint32_t> order = score_order(scores);
+    for (std::uint32_t pos = 0; pos < count; ++pos)
+      workload->results[pos] = drawn[order[pos]];
 
-  // One pass lays out the region and fills the fragment rows and bytes.
-  std::vector<std::uint32_t>& row_slot = workload->fragment_start;
-  counts_to_first_slots(row_slot);
-  workload->offsets.resize(count);
-  workload->fragment_index.resize(count);
-  workload->fragment_bytes.assign(config_.fragment_count, 0);
-  std::uint64_t cursor = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const ResultInfo& result = workload->results[i];
-    workload->offsets[i] = cursor;
-    cursor += result.bytes;
-    workload->fragment_index[row_slot[result.fragment + 1]++] = i;
-    workload->fragment_bytes[result.fragment] += result.bytes;
+    // One pass in file order lays out the region and fills the fragment
+    // rows; fragment_start[f + 1] starts as fragment f's result count.
+    std::vector<std::uint32_t>& row_slot = workload->fragment_start;
+    row_slot.assign(config_.fragment_count + 1, 0);
+    std::copy(workload->fragment_results.begin(),
+              workload->fragment_results.end(), row_slot.begin() + 1);
+    counts_to_first_slots(row_slot);
+    workload->offsets.resize(count);
+    workload->fragment_index.resize(count);
+    std::uint64_t cursor = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const ResultInfo& result = workload->results[i];
+      workload->offsets[i] = cursor;
+      cursor += result.bytes;
+      workload->fragment_index[row_slot[result.fragment + 1]++] = i;
+    }
   }
-  workload->total_bytes = cursor;
   cache_[q] = std::move(workload);
+  return *cache_[q];
+}
+
+const QuerySummary& WorkloadModel::summary(std::uint32_t q) const {
+  return generate(q);
 }
 
 const QueryWorkload& WorkloadModel::query(std::uint32_t q) const {
-  generate(q);
-  return *cache_[q];
+  S3A_REQUIRE_MSG(build_layouts_,
+                  "this workload model draws summaries only, not layouts");
+  return generate(q);
 }
 
 std::uint64_t WorkloadModel::region_base(std::uint32_t q) const {
@@ -139,27 +161,27 @@ std::uint64_t WorkloadModel::region_base(std::uint32_t q) const {
   if (region_base_cache_[q] != UINT64_MAX) return region_base_cache_[q];
   std::uint64_t base = 0;
   for (std::uint32_t earlier = 0; earlier < q; ++earlier)
-    base += query(earlier).total_bytes;
+    base += summary(earlier).total_bytes;
   region_base_cache_[q] = base;
   return base;
 }
 
 std::uint64_t WorkloadModel::total_output_bytes() const {
   const std::uint32_t last = config_.query_count - 1;
-  return region_base(last) + query(last).total_bytes;
+  return region_base(last) + summary(last).total_bytes;
 }
 
 std::uint64_t WorkloadModel::total_result_count() const {
   std::uint64_t total = 0;
   for (std::uint32_t q = 0; q < config_.query_count; ++q)
-    total += query(q).results.size();
+    total += summary(q).result_count;
   return total;
 }
 
 std::uint64_t WorkloadModel::fragment_result_bytes(std::uint32_t q,
                                                    std::uint32_t fragment) const {
   S3A_REQUIRE(fragment < config_.fragment_count);
-  return query(q).fragment_bytes[fragment];
+  return summary(q).fragment_bytes[fragment];
 }
 
 }  // namespace s3asim::core

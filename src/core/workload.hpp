@@ -9,6 +9,11 @@
 /// process count (paper §3.3: "Although we use different numbers of
 /// processors, the results are always identical since they are
 /// pseudo-randomly generated").
+///
+/// Each query is drawn once, into a summary (sizes per fragment) and, only
+/// when the model builds layouts, a layout (per-result file order and
+/// offsets).  Worker-writing runs need layouts for their offset lists;
+/// master-writing runs need summaries only (DESIGN.md §7).
 
 #include <cstdint>
 #include <memory>
@@ -27,18 +32,30 @@ struct ResultInfo {
   std::uint32_t fragment = 0;  ///< database fragment that produced it
 };
 
-/// Everything about one query's results, in final (descending-score) order.
-struct QueryWorkload {
+/// What a query's sizes alone decide: its length, its region size and,
+/// per database fragment, how many results the fragment produced and
+/// their bytes.  Every reader that never places a single result reads only
+/// this: region bases, the master's merge and region writes, serving
+/// admission, the workers' compute time and score messages.
+struct QuerySummary {
   std::uint64_t query_length = 0;
+  std::uint64_t total_bytes = 0;   ///< region size
+  std::uint32_t result_count = 0;
+  std::vector<std::uint32_t> fragment_results;  ///< result count per fragment
+  std::vector<std::uint64_t> fragment_bytes;    ///< result bytes per fragment
+};
+
+/// A query's layout: its summary plus where each result goes, in final
+/// (descending-score) order.  Only the worker-writing strategies' offset
+/// lists read it.
+struct QueryWorkload : QuerySummary {
   std::vector<ResultInfo> results;        ///< sorted by descending score
   std::vector<std::uint64_t> offsets;     ///< region-relative offset per result
-  std::uint64_t total_bytes = 0;          ///< region size
   /// Fragment rows in compressed sparse row form: fragment f's result
   /// indices are fragment_index[fragment_start[f], fragment_start[f + 1]),
-  /// ascending, and their bytes sum to fragment_bytes[f].
+  /// ascending.
   std::vector<std::uint32_t> fragment_start;  ///< fragment_count + 1 entries
   std::vector<std::uint32_t> fragment_index;  ///< one entry per result
-  std::vector<std::uint64_t> fragment_bytes;  ///< one entry per fragment
 
   /// Indices of the results that fragment `fragment` produced, ascending.
   [[nodiscard]] std::span<const std::uint32_t> by_fragment(
@@ -58,11 +75,16 @@ struct QueryWorkload {
 
 class WorkloadModel {
  public:
-  explicit WorkloadModel(WorkloadConfig config);
+  /// A model with `build_layouts` false draws each query's summary only;
+  /// asking it for a layout (`query`) is an error.
+  explicit WorkloadModel(WorkloadConfig config, bool build_layouts = true);
 
   [[nodiscard]] const WorkloadConfig& config() const noexcept { return config_; }
 
-  /// The (cached) workload of one query.
+  /// The (cached) sizes of one query.
+  [[nodiscard]] const QuerySummary& summary(std::uint32_t q) const;
+
+  /// The (cached) layout of one query; requires a layout-building model.
   [[nodiscard]] const QueryWorkload& query(std::uint32_t q) const;
 
   /// Absolute file offset of query q's region (sum of earlier regions).
@@ -79,9 +101,12 @@ class WorkloadModel {
                                                     std::uint32_t fragment) const;
 
  private:
-  void generate(std::uint32_t q) const;
+  /// Draws query q once, filling its summary and, when the model builds
+  /// layouts, its layout in the same pass.
+  const QueryWorkload& generate(std::uint32_t q) const;
 
   WorkloadConfig config_;
+  bool build_layouts_;
   mutable std::vector<std::unique_ptr<QueryWorkload>> cache_;
   mutable std::vector<std::uint64_t> region_base_cache_;
 };

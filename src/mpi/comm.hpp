@@ -138,9 +138,14 @@ class Comm {
   /// Blocking send (MPI_Send): `co_await` returns when the message has
   /// been delivered.
   SendAwaiter send(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-                   Payload payload = {}) {
+                   Payload payload) {
     check_send(src, dst, tag);
     return SendAwaiter(*this, src, dst, tag, bytes, std::move(payload));
+  }
+  /// Blocking send of a payload-free message.  Its empty payload lives in
+  /// this call, not as an argument temporary in the awaiting frame.
+  SendAwaiter send(Rank src, Rank dst, Tag tag, std::uint64_t bytes) {
+    return send(src, dst, tag, bytes, Payload{});
   }
 
   /// Blocking receive (MPI_Recv); `source`/`tag` may be wildcards.
@@ -152,10 +157,14 @@ class Comm {
   /// Fire-and-forget send (MPI_Isend + MPI_Request_free): the message is
   /// delivered exactly as a `send`'s, and nothing is allocated to track it.
   void post(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-            Payload payload = {}) {
+            Payload payload) {
     check_send(src, dst, tag);
     scheduler_->spawn(
         deliver(src, dst, tag, bytes, std::move(payload), nullptr));
+  }
+  /// Fire-and-forget send of a payload-free message.
+  void post(Rank src, Rank dst, Tag tag, std::uint64_t bytes) {
+    post(src, dst, tag, bytes, Payload{});
   }
 
   /// MPI_Barrier over all ranks of this communicator.

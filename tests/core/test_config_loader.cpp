@@ -557,6 +557,40 @@ TEST(ConfigLoaderTest, BadGroupsRejectedNamingKey) {
   }
 }
 
+TEST(ConfigLoaderTest, UnsignedKeysRejectValuesThatWouldWrap) {
+  // Each key is a 32-bit unsigned count: -1 and 2^32 must be rejected
+  // naming the key, not wrapped into 4294967295 and 0.
+  const char* const keys[] = {
+      "nprocs",           "groups",           "queries_per_flush",
+      "query_count",      "fragment_count",   "result_count_min",
+      "result_count_max", "server_count",     "cb_nodes",
+      "aggregator_fanin", "admit_depth",      "min_workers"};
+  for (const char* key : keys) {
+    for (const char* value : {"-1", "4294967296"}) {
+      SCOPED_TRACE(std::string(key) + " = " + value);
+      try {
+        (void)load_config(std::string(key) + " = " + value + "\n");
+        ADD_FAILURE() << "expected std::invalid_argument";
+      } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("key '" + std::string(key) +
+                                                 "'"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
+}
+
+TEST(ConfigLoaderTest, UnsignedKeysKeepTheirLargestValue) {
+  // 2^32 - 1 is in range: loading it does not run anything that large.
+  const auto config = load_config(
+      "query_count = 4294967295\nfragment_count = 4294967295\n"
+      "cb_nodes = 4294967295\n");
+  EXPECT_EQ(config.workload.query_count, 4294967295u);
+  EXPECT_EQ(config.workload.fragment_count, 4294967295u);
+  EXPECT_EQ(config.hints.cb_nodes, 4294967295u);
+}
+
 // validate_membership runs at simulation entry (the loader cannot see the
 // strategy/membership interaction until both are final).
 TEST(ConfigLoaderTest, JoinNamingUnknownSpeedClassListsKnownClasses) {

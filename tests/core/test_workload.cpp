@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -229,6 +230,103 @@ TEST(WorkloadTest, GeneratedWorkloadsMatchPinnedDigests) {
 
   for (const Pinned& entry : pinned)
     EXPECT_EQ(workload_digest(entry.config), entry.digest) << entry.name;
+}
+
+/// The nine shapes of `GeneratedWorkloadsMatchPinnedDigests`, by name.
+std::vector<std::pair<std::string, WorkloadConfig>> digest_shapes() {
+  std::vector<std::pair<std::string, WorkloadConfig>> shapes;
+  shapes.emplace_back("paper defaults", WorkloadConfig{});
+  WorkloadConfig config;
+  config.query_count = 100;
+  shapes.emplace_back("100 queries", config);
+  shapes.emplace_back("small", small_workload());
+  config = small_workload();
+  config.fragment_count = 1;
+  shapes.emplace_back("one fragment", config);
+  config = small_workload();
+  config.result_count_min = config.result_count_max = 77;
+  shapes.emplace_back("fixed result count", config);
+  config = small_workload();
+  config.query_lengths = {100, 5'000, 64, 1'000'000, 7, 4'096};
+  shapes.emplace_back("query_lengths override", config);
+  config = small_workload();
+  config.query_histogram =
+      BoxHistogram{{{64, 255, 0.0}, {256, 1'024, 3.0}, {1'025, 8'192, 1.0}}};
+  config.database_histogram = BoxHistogram{{{6, 63, 0.0},
+                                            {64, 4'096, 5.0},
+                                            {4'097, 65'536, 0.0},
+                                            {65'537, 1'000'000, 0.5},
+                                            {1'000'001, 43'000'000, 0.0}}};
+  shapes.emplace_back("zero-weight bins", config);
+  config = small_workload();
+  config.size_scale = 0.25;
+  shapes.emplace_back("size_scale 0.25", config);
+  config = small_workload();
+  config.result_count_min = 1;
+  config.result_count_max = 5'000;
+  config.fragment_count = 7;
+  shapes.emplace_back("1 to 5000 results", config);
+  return shapes;
+}
+
+TEST(WorkloadTest, SummaryMatchesLayout) {
+  // A summary-only model's sizes equal the ones a layout-building model's
+  // results add up to, query by query and fragment by fragment.
+  for (const auto& [name, config] : digest_shapes()) {
+    SCOPED_TRACE(name);
+    const WorkloadModel summaries(config, /*build_layouts=*/false);
+    const WorkloadModel layouts(config);
+    for (std::uint32_t q = 0; q < config.query_count; ++q) {
+      const QuerySummary& summary = summaries.summary(q);
+      const QueryWorkload& layout = layouts.query(q);
+      EXPECT_EQ(summary.query_length, layout.query_length);
+      EXPECT_EQ(summary.result_count, layout.results.size());
+      std::uint64_t region = 0;
+      for (const ResultInfo& result : layout.results) region += result.bytes;
+      EXPECT_EQ(summary.total_bytes, region);
+      ASSERT_EQ(summary.fragment_results.size(), config.fragment_count);
+      ASSERT_EQ(summary.fragment_bytes.size(), config.fragment_count);
+      for (std::uint32_t f = 0; f < config.fragment_count; ++f) {
+        std::uint64_t bytes = 0;
+        for (const std::uint32_t index : layout.by_fragment(f))
+          bytes += layout.results[index].bytes;
+        EXPECT_EQ(summary.fragment_results[f], layout.by_fragment(f).size());
+        EXPECT_EQ(summary.fragment_bytes[f], bytes);
+        EXPECT_EQ(summaries.fragment_result_bytes(q, f), bytes);
+      }
+      EXPECT_EQ(summaries.region_base(q), layouts.region_base(q));
+    }
+    EXPECT_EQ(summaries.total_output_bytes(), layouts.total_output_bytes());
+    EXPECT_EQ(summaries.total_result_count(), layouts.total_result_count());
+  }
+}
+
+TEST(WorkloadTest, SummaryOnlyModelBuildsNoLayout) {
+  // Every size reader works on a summary-only model; a layout it refuses
+  // rather than drawing the query again.
+  const WorkloadModel model(small_workload(), /*build_layouts=*/false);
+  EXPECT_GT(model.total_output_bytes(), 0u);
+  EXPECT_GT(model.total_result_count(), 0u);
+  for (std::uint32_t q = 0; q < 6; ++q) {
+    EXPECT_GT(model.summary(q).total_bytes, 0u);
+    EXPECT_THROW((void)model.query(q), std::invalid_argument);
+  }
+}
+
+TEST(WorkloadTest, OnlyOffsetListStrategiesBuildLayouts) {
+  // A run's model builds layouts iff workers write, i.e. iff the strategy
+  // ships offset lists: an MW run has summaries only.
+  for (const Strategy strategy : kAllStrategies) {
+    SCOPED_TRACE(strategy_name(strategy));
+    SimConfig config = test_config();
+    config.strategy = strategy;
+    const World world(config);
+    if (strategy == Strategy::MW)
+      EXPECT_THROW((void)world.workload.query(0), std::invalid_argument);
+    else
+      EXPECT_EQ(world.workload.query(0).results.size(),
+                world.workload.summary(0).result_count);
+  }
 }
 
 /// The file order of the old generator: a stable sort of the draw indices
