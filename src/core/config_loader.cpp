@@ -1,9 +1,7 @@
 #include "core/config_loader.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/membership.hpp"
@@ -13,14 +11,6 @@
 namespace s3asim::core {
 
 namespace {
-
-mpiio::CollectiveAlgorithm parse_collective(const std::string& name) {
-  if (name == "two_phase" || name == "two-phase")
-    return mpiio::CollectiveAlgorithm::TwoPhase;
-  if (name == "list_sync" || name == "list-sync")
-    return mpiio::CollectiveAlgorithm::ListWithSync;
-  throw std::invalid_argument("unknown collective_algorithm '" + name + "'");
-}
 
 mpiio::NoncontigMethod parse_read_method(const std::string& name) {
   if (name == "posix") return mpiio::NoncontigMethod::Posix;
@@ -174,9 +164,6 @@ SimConfig load_config(const std::string& config_text) {
   config.hints.two_phase_round_overhead = sim::milliseconds(keyval.get_double(
       "two_phase_overhead_ms",
       sim::to_milliseconds(config.hints.two_phase_round_overhead)));
-  if (keyval.has("collective_algorithm"))
-    config.hints.collective_algorithm =
-        parse_collective(keyval.get_string("collective_algorithm", ""));
   config.hints.sieve_buffer_bytes =
       keyval.get_bytes("sieve_buffer", config.hints.sieve_buffer_bytes);
   if (config.hints.sieve_buffer_bytes == 0)
@@ -250,14 +237,6 @@ SimConfig load_config(const std::string& config_text) {
     throw std::invalid_argument(message);
   }
   return config;
-}
-
-SimConfig load_config_file(const std::string& path) {
-  std::ifstream input(path);
-  if (!input) throw std::runtime_error("cannot open config file: " + path);
-  std::ostringstream buffer;
-  buffer << input.rdbuf();
-  return load_config(buffer.str());
 }
 
 }  // namespace s3asim::core

@@ -13,12 +13,17 @@
 namespace s3asim::core {
 
 /// With faults the message counts are not known up front (reassignment,
-/// drops, retirements), so both master pumps run until the master cancels
-/// their posted receives at teardown (MPI_Cancel).
-sim::Process master_request_pump(App& app) {
+/// drops, retirements), so every master pump runs until the master cancels
+/// its posted receive at teardown (MPI_Cancel).
+///
+/// Work requests (kTagRequest) and, under dynamic membership, join
+/// handshakes (kTagJoin) share the master's request stream: a join is
+/// served with request priority — the sooner the Welcome goes out, the
+/// sooner the joiner's staging read starts.
+sim::Process master_pump(App& app, mpi::Tag tag) {
   while (true) {
     mpi::Message message =
-        co_await app.comm.recv(app.master, mpi::kAnySource, kTagRequest);
+        co_await app.comm.recv(app.master, mpi::kAnySource, tag);
     if (message.cancelled) break;
     app.master_requests.push_back(std::move(message));
     app.request_wake->push(0);
@@ -34,19 +39,6 @@ sim::Process master_scores_pump(App& app) {
     // The event loop blocks on a single wake stream; the closed-batch loop
     // waits on scores separately.
     (app.event_loop() ? app.request_wake : app.scores_wake)->push(0);
-  }
-}
-
-/// Dynamic membership: join handshakes share the master's request stream
-/// (a join is served with request priority — the sooner the Welcome goes
-/// out, the sooner the joiner's staging read starts).
-sim::Process master_join_pump(App& app) {
-  while (true) {
-    mpi::Message message =
-        co_await app.comm.recv(app.master, mpi::kAnySource, kTagJoin);
-    if (message.cancelled) break;
-    app.master_requests.push_back(std::move(message));
-    app.request_wake->push(0);
   }
 }
 

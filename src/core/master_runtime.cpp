@@ -153,7 +153,7 @@ sim::Process master_process(App& app) {
       if (!app.registry->initially_standby(worker))
         co_await app.comm.send(app.master, worker, kTagSetup,
                                app.config.model.setup_message_bytes);
-    app.record_phase(app.master, Phase::Setup, start, app.scheduler.now());
+    env.record_phase(app.master, Phase::Setup, start, app.scheduler.now());
   }
 
   // ---- Task source shared by the closed-batch loop and the event loop. ---
@@ -266,7 +266,7 @@ sim::Process master_process(App& app) {
       merge_time +=
           strategy.master_merge_extra(env, scores.query, scores.fragment);
       co_await app.scheduler.delay(merge_time);
-      app.record_phase(app.master, Phase::GatherResults, merge_start,
+      env.record_phase(app.master, Phase::GatherResults, merge_start,
                        app.scheduler.now());
     }
     if (app.recovery_mode &&
@@ -323,7 +323,7 @@ sim::Process master_process(App& app) {
         const sim::Time wait_start = app.scheduler.now();
         auto token = co_await app.request_wake->pop();
         S3A_CHECK_MSG(token.has_value(), "master request stream closed early");
-        app.record_phase(app.master, Phase::DataDistribution, wait_start,
+        env.record_phase(app.master, Phase::DataDistribution, wait_start,
                          app.scheduler.now());
 
         // ---- Steps 4-9: assign work or notify completion. ----------------
@@ -338,7 +338,7 @@ sim::Process master_process(App& app) {
         const MasterMsg reply = task ? assign_msg(*task) : done_msg();
         co_await app.comm.send(app.master, worker, kTagMasterToWorker,
                                app.config.model.control_message_bytes, reply);
-        app.record_phase(app.master, Phase::DataDistribution, send_start,
+        env.record_phase(app.master, Phase::DataDistribution, send_start,
                          app.scheduler.now());
         // Step 10: after serving the request, drain the completed receives.
         while (!app.master_scores.empty()) co_await handle_score();
@@ -347,7 +347,7 @@ sim::Process master_process(App& app) {
         const sim::Time wait_start = app.scheduler.now();
         auto token = co_await app.scores_wake->pop();
         S3A_CHECK_MSG(token.has_value(), "master score stream closed early");
-        app.record_phase(app.master, Phase::GatherResults, wait_start,
+        env.record_phase(app.master, Phase::GatherResults, wait_start,
                          app.scheduler.now());
         // The token may be stale if an earlier drain already consumed the
         // message; every queued message is guaranteed a token, so just skip.
@@ -389,7 +389,7 @@ sim::Process master_process(App& app) {
       co_await app.comm.send(app.master, worker, kTagMasterToWorker,
                              app.config.model.control_message_bytes,
                              std::move(msg));
-      app.record_phase(app.master, Phase::DataDistribution, send_start,
+      app.env->record_phase(app.master, Phase::DataDistribution, send_start,
                        app.scheduler.now());
     };
     // Hands `task` to `worker`.  Under recovery the task is owed from now
@@ -458,8 +458,7 @@ sim::Process master_process(App& app) {
       }
     };
 
-    auto handle_failure = [&app, &state, &strategy, &arm_probe, &assign,
-                           &reply,
+    auto handle_failure = [&app, &state, &arm_probe, &assign, &reply,
                            &feed_parked](mpi::Rank worker) -> sim::Task<void> {
       if (state.retired.contains(worker)) co_return;
       auto& owed = state.outstanding[worker];
@@ -473,12 +472,12 @@ sim::Process master_process(App& app) {
           co_return;
         }
       }
-      // Flush-blocking strategies (§2.3): a worker whose owed tasks all
+      // Lockstep-flush strategies (§2.3): a worker whose owed tasks all
       // belong to batches past the flush frontier is defer-blocked behind
       // the pending collective write — it cannot produce a score no matter
       // how healthy it is.  Silence is not evidence of death there; keep
       // polling until its work reaches the frontier.
-      if (strategy.flush_blocks_process() &&
+      if (lockstep_flush(app.config.strategy) &&
           state.next_inorder < app.query_count()) {
         const std::uint32_t frontier = app.batch_of(state.next_inorder);
         const bool frontier_work =
@@ -518,14 +517,14 @@ sim::Process master_process(App& app) {
       }
       // Feed the reclaimed tasks to survivors that are waiting for work.
       co_await feed_parked();
-      // Flush-blocking strategies: the survivors may all be defer-blocked
+      // Lockstep-flush strategies: the survivors may all be defer-blocked
       // (no parked requests, and none coming — a deferred worker only
       // requests again once the stuck collective completes).  Push the
       // reclaimed frontier tasks to them unsolicited; they are executable
       // immediately and their scores unstick the batch.  Reclaimed tasks
       // for later batches stay queued for the request path — delivering
       // those unsolicited would just defer at the receiver too.
-      if (strategy.flush_blocks_process() && !state.reassign.empty() &&
+      if (lockstep_flush(app.config.strategy) && !state.reassign.empty() &&
           state.next_inorder < app.query_count()) {
         const std::uint32_t frontier = app.batch_of(state.next_inorder);
         std::vector<Outstanding> urgent;
@@ -590,7 +589,7 @@ sim::Process master_process(App& app) {
       const sim::Time wait_start = app.scheduler.now();
       auto token = co_await app.request_wake->pop();
       S3A_CHECK_MSG(token.has_value(), "master wake stream closed early");
-      app.record_phase(app.master, Phase::DataDistribution, wait_start,
+      env.record_phase(app.master, Phase::DataDistribution, wait_start,
                        app.scheduler.now());
       while (!app.master_requests.empty()) {
         mpi::Message event = app.master_requests.pop_front();
@@ -644,7 +643,7 @@ sim::Process master_process(App& app) {
   {
     const sim::Time barrier_start = app.scheduler.now();
     co_await app.comm.barrier();
-    app.record_phase(app.master, Phase::Sync, barrier_start,
+    env.record_phase(app.master, Phase::Sync, barrier_start,
                      app.scheduler.now());
   }
   if (app.recovery_mode) {
@@ -668,7 +667,7 @@ sim::Process master_process(App& app) {
       co_await app.file->write_noncontig(app.master, holes,
                                          mpiio::NoncontigMethod::ListIo);
       if (app.config.sync_after_write) co_await app.file->sync(app.master);
-      app.record_phase(app.master, Phase::Io, repair_start,
+      env.record_phase(app.master, Phase::Io, repair_start,
                        app.scheduler.now());
       if (app.trace_log != nullptr)
         app.trace_log->record(app.master, "Recovery", repair_start,

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/strategies/registry.hpp"
+#include "core/strategy.hpp"
 #include "fault/fault.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -418,9 +418,8 @@ void validate_membership(const SimConfig& config) {
   }
 
   if (membership.dynamic()) {
-    const auto strategy = make_strategy(config.strategy);
     S3A_REQUIRE_MSG(
-        strategy->tolerates_membership_changes(),
+        !lockstep_flush(config.strategy),
         std::string("strategy ") + strategy_name(config.strategy) +
             " synchronizes over a fixed worker cohort (collective writes / "
             "lockstep aggregation groups) and cannot absorb membership "

@@ -280,15 +280,11 @@ void publish_metrics(World& world,
   registry.gauge("net.tx_busy_seconds").add(sim::to_seconds(tx_busy));
   registry.gauge("net.rx_busy_seconds").add(sim::to_seconds(rx_busy));
 
-  // mpiio.* — collective stall, summed over every file of every group
-  // (strategy-private files — N-N parts — report through the strategy).
+  // mpiio.* — collective stall, summed over every group's output file (the
+  // only files `write_at_all` ever runs on).
   sim::Time collective_wait = 0;
-  for (const auto& app : groups) {
+  for (const auto& app : groups)
     if (app->file) collective_wait += app->file->total_collective_wait();
-    if (app->database_file)
-      collective_wait += app->database_file->total_collective_wait();
-    collective_wait += app->strategy->aux_collective_wait();
-  }
   registry.gauge("mpiio.collective_wait_seconds")
       .add(sim::to_seconds(collective_wait));
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/protocol.hpp"
 #include "core/strategies/registry.hpp"
 
 namespace s3asim::core {
@@ -103,7 +104,7 @@ App::App(World& w, mpi::Rank master_rank, std::vector<mpi::Rank> worker_ranks,
       ResultRouter(comm, config.model, master, queries));
   env->trace_log = trace_log;
   env->per_query_msgs_to_all =
-      config.query_sync || strategy->broadcasts_offsets();
+      config.query_sync || lockstep_flush(config.strategy);
   strategy->attach(*env);
 }
 
@@ -121,11 +122,11 @@ sim::Time App::compute_time(std::uint32_t query, std::uint32_t fragment,
 
 void launch_group(App& app) {
   app.scheduler.spawn(master_process(app));
-  app.scheduler.spawn(master_request_pump(app));
+  app.scheduler.spawn(master_pump(app, kTagRequest));
   app.scheduler.spawn(master_scores_pump(app));
   if (app.serving != nullptr) app.scheduler.spawn(serving_arrival_process(app));
   if (app.config.membership.dynamic())
-    app.scheduler.spawn(master_join_pump(app));
+    app.scheduler.spawn(master_pump(app, kTagJoin));
   for (const mpi::Rank rank : app.workers) {
     app.scheduler.spawn(worker_process(app, rank));
     app.scheduler.spawn(worker_stream_pump(app, rank));

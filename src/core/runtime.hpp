@@ -94,7 +94,8 @@ struct App {
   std::uint64_t group_output_bytes = 0;
 
   /// The group's I/O policy and the capability bundle its hooks see; the
-  /// env shares the app's `trace_log`.
+  /// env shares the app's `trace_log`, and its `record_phase` is the one
+  /// phase-accounting entry for runtimes and strategies alike.
   std::unique_ptr<IoStrategy> strategy;
   std::unique_ptr<StrategyEnv> env;
 
@@ -238,12 +239,6 @@ struct App {
   /// counts the load; the read time is the rank's Io phase.  Defined in
   /// worker_runtime.cpp.
   sim::Task<void> load_fragment(mpi::Rank rank, std::uint32_t fragment);
-
-  void record_phase(mpi::Rank rank, Phase phase, sim::Time start, sim::Time end) {
-    rank_stats[rank].phases.add(phase, end - start);
-    if (trace_log != nullptr && end > start)
-      trace_log->record(rank, phase_name(phase), start, end);
-  }
 };
 
 /// Scoped-ish phase timing around co_await points.
@@ -251,17 +246,16 @@ struct App {
   do {                                                            \
     const sim::Time s3a_phase_start__ = (app).scheduler.now();    \
     __VA_ARGS__;                                                  \
-    (app).record_phase((rank), (phase), s3a_phase_start__,        \
-                       (app).scheduler.now());                    \
+    (app).env->record_phase((rank), (phase), s3a_phase_start__,   \
+                            (app).scheduler.now());               \
   } while (0)
 
 // ---- master_runtime.cpp (Algorithm 1) -------------------------------------
 sim::Process master_process(App& app);
-sim::Process master_request_pump(App& app);
+/// Receives `tag` messages (work requests; join handshakes under dynamic
+/// membership) and queues them on the master's request stream.
+sim::Process master_pump(App& app, mpi::Tag tag);
 sim::Process master_scores_pump(App& app);
-/// Dynamic membership only: receives kTagJoin handshakes and queues them
-/// on the master's request stream (joins are served with request priority).
-sim::Process master_join_pump(App& app);
 sim::Process worker_probe(App& app, mpi::Rank rank);
 /// Serving mode only: fires each arrival at its simulated time, admits or
 /// sheds it, and wakes the master's event loop.

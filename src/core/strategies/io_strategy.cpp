@@ -4,6 +4,7 @@
 #include <map>
 
 #include "core/protocol.hpp"
+#include "util/require.hpp"
 
 namespace s3asim::core {
 
@@ -88,6 +89,17 @@ sim::Task<void> IoStrategy::on_results_ready(StrategyEnv& env, mpi::Rank rank,
   (void)env;
   (void)rank;
   (void)result_bytes;
+  co_return;
+}
+
+sim::Task<void> IoStrategy::flush(StrategyEnv& env, mpi::Rank rank,
+                                  std::vector<pfs::Extent> extents,
+                                  std::uint32_t query_tag) {
+  (void)env;
+  (void)rank;
+  (void)extents;
+  (void)query_tag;
+  S3A_UNREACHABLE();  // notification-only strategies never flush
   co_return;
 }
 

@@ -9,11 +9,14 @@
 /// teardown.  The *mechanism* — task scheduling, fault detection and
 /// recovery, phase accounting, pumps — lives in the runtimes
 /// (`master_runtime.cpp` / `worker_runtime.cpp`), which call the paired
-/// hooks below.
+/// hooks below and read the strategy's classification from the enum
+/// predicates of `core/strategy.hpp`, not from the instance.
 ///
-/// Strategy implementations live one-per-translation-unit under
-/// `src/core/strategies/` and are instantiated per group through
-/// `make_strategy` (registry.hpp).  They see only the narrow capability
+/// `make_strategy` (registry.hpp) builds one instance per group: the
+/// independent and collective writers are parameterized by their MPI-IO
+/// method there; MW, N-N and WW-Aggr, whose behaviour is more than a
+/// write-path parameter, have a translation unit each under
+/// `src/core/strategies/`.  Strategies see only the narrow capability
 /// handles bundled in `StrategyEnv` — the offset service, the result
 /// router, the group's shared file, and the model-layer handles — never
 /// the runtime's `App`/`World` internals.
@@ -141,7 +144,8 @@ struct StrategyEnv {
   /// untraced — resumed tail runs stay untraced by design).
   trace::TraceLog* trace_log = nullptr;
   /// True when every worker receives a per-query offsets message
-  /// (query-sync mode or a broadcasting strategy) — drives default routing.
+  /// (query-sync mode or a `lockstep_flush` strategy) — drives default
+  /// routing.
   bool per_query_msgs_to_all = false;
 
   [[nodiscard]] sim::Time now() const { return scheduler.now(); }
@@ -172,43 +176,11 @@ class IoStrategy {
  public:
   virtual ~IoStrategy() = default;
 
-  [[nodiscard]] virtual Strategy id() const noexcept = 0;
-
-  // ---- Traits: how the runtimes drive this strategy. ----------------------
-
-  /// Workers write their own results (false only for MW).
-  [[nodiscard]] virtual bool worker_writes() const noexcept { return true; }
-  /// Every worker must receive a per-query offsets message even without
-  /// contributing (collectives: everyone joins each round; WW-Aggr:
-  /// aggregation groups advance in lockstep).
-  [[nodiscard]] virtual bool broadcasts_offsets() const noexcept {
-    return false;
-  }
-  /// The flush path blocks the worker process (collective or aggregated
-  /// I/O): assignments for queries past the current batch are deferred
-  /// until the pending flush completes (§2.3), and the master's failure
-  /// detector treats flush-blocked silence as healthy.
-  [[nodiscard]] virtual bool flush_blocks_process() const noexcept {
-    return false;
-  }
-  /// Per-query messages carry no extents to place (MW, N-N): the worker
-  /// treats them as batch-boundary notifications and never flushes.
-  [[nodiscard]] virtual bool offsets_are_notifications() const noexcept {
-    return false;
-  }
-  /// Whether the strategy can absorb mid-run membership changes (elastic
-  /// autoscaling, scheduled joins).  Strategies that synchronize over a
-  /// fixed worker cohort — collective write rounds, lockstep aggregation
-  /// groups — must return false; validate_membership turns that into an
-  /// actionable config error before the run starts.
-  [[nodiscard]] virtual bool tolerates_membership_changes() const noexcept {
-    return true;
-  }
-
   // ---- Master-side hooks (Algorithm 1). -----------------------------------
 
-  /// MPI-IO hints for the group's output file (WW-CollList swaps the
-  /// collective algorithm).
+  /// MPI-IO hints for the group's output file (the collective writer sets
+  /// its algorithm: two-phase for WW-Coll, list I/O plus sync for
+  /// WW-CollList).
   [[nodiscard]] virtual mpiio::Hints file_hints(const SimConfig& config) const {
     return config.hints;
   }
@@ -267,10 +239,11 @@ class IoStrategy {
   /// extent list may be empty (a non-contributing collective participant
   /// still joins the round).  `query_tag` is the local query whose offsets
   /// message triggered the flush; WW-Aggr derives its aggregation round
-  /// from it.
+  /// from it.  The default traps: workers of an
+  /// `offsets_are_notifications` strategy (MW, N-N) never flush.
   virtual sim::Task<void> flush(StrategyEnv& env, mpi::Rank rank,
                                 std::vector<pfs::Extent> extents,
-                                std::uint32_t query_tag) = 0;
+                                std::uint32_t query_tag);
 
   /// Fail-stop: the worker leaves every synchronization structure
   /// (collectives deactivate the rank so surviving rounds can complete).
@@ -278,10 +251,6 @@ class IoStrategy {
     (void)env;
     (void)rank;
   }
-
-  /// Collective-wait accumulated in strategy-private auxiliary files
-  /// (reported alongside the group file's in the metrics registry).
-  [[nodiscard]] virtual sim::Time aux_collective_wait() const { return 0; }
 
  protected:
   /// Empty per-query notifications for every (query, worker) of a batch —

@@ -23,12 +23,6 @@ sim::Process mw_async_write(MwStrategy& self, StrategyEnv& env,
 
 class MwStrategy final : public IoStrategy {
  public:
-  [[nodiscard]] Strategy id() const noexcept override { return Strategy::MW; }
-  [[nodiscard]] bool worker_writes() const noexcept override { return false; }
-  [[nodiscard]] bool offsets_are_notifications() const noexcept override {
-    return true;
-  }
-
   void attach(StrategyEnv& env) override {
     pending_writes_ = std::make_unique<sim::WaitGroup>(env.scheduler);
   }
@@ -105,17 +99,6 @@ class MwStrategy final : public IoStrategy {
       std::uint32_t fragment) const override {
     // Workers ship the result data itself alongside the scores.
     return env.offsets.result_bytes(query, fragment);
-  }
-
-  sim::Task<void> flush(StrategyEnv& env, mpi::Rank rank,
-                        std::vector<pfs::Extent> extents,
-                        std::uint32_t query_tag) override {
-    (void)env;
-    (void)rank;
-    (void)extents;
-    (void)query_tag;
-    S3A_UNREACHABLE();  // notification-only: workers never flush under MW
-    co_return;
   }
 
  private:

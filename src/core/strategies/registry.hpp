@@ -1,11 +1,14 @@
 #pragma once
 
 /// \file registry.hpp
-/// The strategy registry: maps a `core::Strategy` enumerator to the factory
-/// of its `IoStrategy` implementation.  Each strategy lives in its own
-/// translation unit and exposes exactly one factory here; the table in
-/// registry.cpp is the single place a new strategy must be wired into the
-/// core (CLI/config/sweep pick it up through `parse_strategy`).
+/// Builds a group's `IoStrategy` from its `core::Strategy` enumerator.
+/// `make_strategy` is one switch: the independent worker writers (§2.3)
+/// differ only in their noncontiguous method and the collective ones
+/// (§2.2) only in their collective algorithm, so registry.cpp builds both
+/// from that parameter; MW, N-N and WW-Aggr, whose behaviour is more than
+/// a write-path parameter, live in a translation unit each and expose the
+/// factories below.  The strategy's classification is not here but in the
+/// predicates of `core/strategy.hpp`.
 
 #include <memory>
 
@@ -14,19 +17,14 @@
 
 namespace s3asim::core {
 
-/// Instantiates the `IoStrategy` registered for `strategy` (one fresh
-/// instance per group per run — strategies may hold per-run state).
+/// Instantiates the `IoStrategy` for `strategy` (one fresh instance per
+/// group per run — strategies may hold per-run state).
 [[nodiscard]] std::unique_ptr<IoStrategy> make_strategy(Strategy strategy);
 
-// Per-TU factories (strategies/<name>.cpp), wired into the table in
-// registry.cpp.
+// Factories of the strategies with a translation unit of their own
+// (strategies/<name>.cpp).
 [[nodiscard]] std::unique_ptr<IoStrategy> make_mw_strategy();
-[[nodiscard]] std::unique_ptr<IoStrategy> make_ww_posix_strategy();
-[[nodiscard]] std::unique_ptr<IoStrategy> make_ww_list_strategy();
-[[nodiscard]] std::unique_ptr<IoStrategy> make_ww_coll_strategy();
-[[nodiscard]] std::unique_ptr<IoStrategy> make_ww_coll_list_strategy();
 [[nodiscard]] std::unique_ptr<IoStrategy> make_ww_file_per_process_strategy();
 [[nodiscard]] std::unique_ptr<IoStrategy> make_ww_aggr_strategy();
-[[nodiscard]] std::unique_ptr<IoStrategy> make_ww_sieve_strategy();
 
 }  // namespace s3asim::core

@@ -11,7 +11,8 @@
 /// the whole group's behalf — fewer, larger, better-sorted requests at the
 /// file system for the price of intra-group shipping.
 ///
-/// Offsets are broadcast and the flush blocks the worker process, so every
+/// WW-Aggr is a `lockstep_flush` strategy (core/strategy.hpp): offsets are
+/// broadcast and the flush blocks the worker process, so every
 /// worker flushes every batch exactly once, in batch order: the
 /// aggregator's per-member receives match the members' sends round for
 /// round (per-(src,dst,tag) FIFO), and no cycle master↔aggregation-group
@@ -38,19 +39,6 @@ struct AggrMsg {
 
 class WwAggrStrategy final : public IoStrategy {
  public:
-  [[nodiscard]] Strategy id() const noexcept override {
-    return Strategy::WWAggr;
-  }
-  [[nodiscard]] bool broadcasts_offsets() const noexcept override {
-    return true;  // aggregation groups advance in batch lockstep
-  }
-  [[nodiscard]] bool flush_blocks_process() const noexcept override {
-    return true;  // members block shipping; aggregators block collecting
-  }
-  [[nodiscard]] bool tolerates_membership_changes() const noexcept override {
-    return false;  // aggregation groups are fixed at setup
-  }
-
   void attach(StrategyEnv& env) override {
     fanin_ = env.config.aggregator_fanin;
     if (fanin_ == 0 || fanin_ >= env.workers.size())

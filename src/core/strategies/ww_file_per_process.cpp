@@ -17,13 +17,6 @@ namespace {
 
 class WwFilePerProcessStrategy final : public IoStrategy {
  public:
-  [[nodiscard]] Strategy id() const noexcept override {
-    return Strategy::WWFilePerProcess;
-  }
-  [[nodiscard]] bool offsets_are_notifications() const noexcept override {
-    return true;
-  }
-
   sim::Task<void> master_setup(StrategyEnv& env) override {
     for (const mpi::Rank worker : env.workers) {
       const auto worker_handle = co_await env.fs.create_file(
@@ -97,25 +90,6 @@ class WwFilePerProcessStrategy final : public IoStrategy {
     }
     if (env.config.sync_after_write) co_await env.file->sync(env.master);
     env.record_phase(env.master, Phase::Io, merge_start, env.now());
-  }
-
-  sim::Task<void> flush(StrategyEnv& env, mpi::Rank rank,
-                        std::vector<pfs::Extent> extents,
-                        std::uint32_t query_tag) override {
-    (void)env;
-    (void)rank;
-    (void)extents;
-    (void)query_tag;
-    S3A_UNREACHABLE();  // notification-only: the group file is written by
-                        // the master's teardown merge, never by a flush
-    co_return;
-  }
-
-  [[nodiscard]] sim::Time aux_collective_wait() const override {
-    sim::Time total = 0;
-    for (const auto& [rank, file] : worker_files_)
-      total += file->total_collective_wait();
-    return total;
   }
 
  private:

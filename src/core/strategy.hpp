@@ -2,11 +2,12 @@
 
 /// \file strategy.hpp
 /// The I/O strategies compared in the paper (§2), plus the extensions its
-/// conclusion proposes.  This header is only the *identity* of a strategy
-/// (enumerator, canonical name, parser, coarse classification); the
-/// behavior lives behind the `IoStrategy` interface in
-/// `core/strategies/io_strategy.hpp`, selected via
-/// `core/strategies/registry.hpp`.
+/// conclusion proposes.  This header is the *identity* of a strategy
+/// (enumerator, canonical name, parser) and the one place it is
+/// classified: the constexpr predicates below are what the runtimes and
+/// the validators read to sequence control flow.  The write paths live
+/// behind the `IoStrategy` hooks in `core/strategies/io_strategy.hpp`,
+/// built by `make_strategy` (`core/strategies/registry.hpp`).
 
 #include <algorithm>
 #include <cctype>
@@ -80,6 +81,24 @@ inline constexpr Strategy kAllStrategies[] = {
 /// participate in every I/O round).
 [[nodiscard]] constexpr bool is_collective(Strategy strategy) noexcept {
   return strategy == Strategy::WWColl || strategy == Strategy::WWCollList;
+}
+
+/// True when the workers flush in lockstep over a fixed cohort: collective
+/// write rounds, and WW-Aggr's aggregation groups.  Every worker then
+/// receives every per-query offsets message and flushes every batch; the
+/// flush blocks the worker process, so an assignment past the pending
+/// flush waits for it (§2.3) and the master's failure detector reads
+/// flush-blocked silence as healthy; and a worker joining or leaving
+/// mid-run would deadlock a round, so membership changes are rejected.
+[[nodiscard]] constexpr bool lockstep_flush(Strategy strategy) noexcept {
+  return is_collective(strategy) || strategy == Strategy::WWAggr;
+}
+
+/// True when per-query messages carry no extents to place (MW, N-N): the
+/// worker treats them as batch-boundary notifications and never flushes.
+[[nodiscard]] constexpr bool offsets_are_notifications(
+    Strategy strategy) noexcept {
+  return strategy == Strategy::MW || strategy == Strategy::WWFilePerProcess;
 }
 
 /// Parses a strategy name: the canonical `strategy_name` spelling (any

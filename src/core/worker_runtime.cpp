@@ -31,7 +31,7 @@ struct WorkerState {
   /// Score messages initiated so far (drives the deterministic per-send
   /// drop hash; counts dropped sends too).
   std::uint64_t scores_sent = 0;
-  /// Flush-blocking strategies only (§2.3): assignments for upcoming
+  /// Lockstep-flush strategies only (§2.3): assignments for upcoming
   /// queries that cannot start until the pending collective I/O completes.
   /// Each entry stores (local query, global query, fragment).  Usually at
   /// most one; the master's recovery reassignment can push a frontier task
@@ -61,7 +61,8 @@ sim::Task<void> worker_flush(App& app, mpi::Rank rank, WorkerState& state,
   if (app.config.query_sync) {
     const sim::Time barrier_start = app.scheduler.now();
     co_await app.query_barrier.arrive_and_wait();
-    app.record_phase(rank, Phase::Sync, barrier_start, app.scheduler.now());
+    app.env->record_phase(rank, Phase::Sync, barrier_start,
+                          app.scheduler.now());
   }
 }
 
@@ -81,7 +82,7 @@ sim::Task<void> App::load_fragment(mpi::Rank rank, std::uint32_t fragment) {
         rank, static_cast<std::uint64_t>(fragment) * fragment_bytes(),
         fragment_bytes());
   }
-  record_phase(rank, Phase::Io, start, scheduler.now());
+  env->record_phase(rank, Phase::Io, start, scheduler.now());
 }
 
 sim::Process worker_stream_pump(App& app, mpi::Rank rank) {
@@ -176,7 +177,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
         app.workload.summary(query).fragment_results[fragment];
 
     // ---- Step 8: merge with previous results for this query. -----------
-    if (strategy.worker_writes()) {
+    if (worker_writes(app.config.strategy)) {
       if (!state.merged_queries.insert(query).second) {
         const auto merge_ns = static_cast<sim::Time>(std::llround(
             static_cast<double>(result_bytes) * model.merge_ns_per_byte));
@@ -216,7 +217,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
       }
       // MPI_Isend initiation cost; the transfer itself is asynchronous.
       co_await app.scheduler.delay(model.network.per_message_overhead);
-      app.record_phase(rank, Phase::GatherResults, start, app.scheduler.now());
+      env.record_phase(rank, Phase::GatherResults, start, app.scheduler.now());
     }
 
     // ---- Strategy hook: results are computed and the scores are on the
@@ -259,13 +260,13 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
         msg.staged_fragment = rank % app.config.workload.fragment_count;
       co_await app.comm.send(rank, app.master, kTagJoin,
                              model.control_message_bytes, msg);
-      app.record_phase(rank, Phase::Setup, start, app.scheduler.now());
+      env.record_phase(rank, Phase::Setup, start, app.scheduler.now());
     }
   } else {
     {
       const sim::Time start = app.scheduler.now();
       (void)co_await app.comm.recv(rank, app.master, kTagSetup);
-      app.record_phase(rank, Phase::Setup, start, app.scheduler.now());
+      env.record_phase(rank, Phase::Setup, start, app.scheduler.now());
     }
     request_task = true;
   }
@@ -277,7 +278,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
       co_await app.comm.send(rank, app.master, kTagRequest,
                              model.control_message_bytes);
       state.awaiting_response = true;
-      app.record_phase(rank, Phase::DataDistribution, start,
+      env.record_phase(rank, Phase::DataDistribution, start,
                        app.scheduler.now());
     }
     // Resume an assignment that was blocked on a flush which has since
@@ -314,9 +315,9 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
 
     switch (msg.kind) {
       case MasterMsg::Kind::Assign: {
-        app.record_phase(rank, Phase::DataDistribution, wait_start, wait_end);
+        env.record_phase(rank, Phase::DataDistribution, wait_start, wait_end);
         state.awaiting_response = false;
-        if (strategy.flush_blocks_process() &&
+        if (lockstep_flush(app.config.strategy) &&
             app.batch_of(msg.local_query) > state.current_batch) {
           // §2.3: the flush blocks the process, so an assignment for an
           // upcoming query cannot start until the pending write completes.
@@ -334,7 +335,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
       }
 
       case MasterMsg::Kind::Done: {
-        app.record_phase(rank, Phase::DataDistribution, wait_start, wait_end);
+        env.record_phase(rank, Phase::DataDistribution, wait_start, wait_end);
         state.awaiting_response = false;
         state.done = true;
         break;
@@ -346,7 +347,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
         // time, which shows up in the data distribution time") — counts as
         // data distribution; afterwards it is unattributed (→ Other).
         if (state.awaiting_response || !state.deferred.empty())
-          app.record_phase(rank, Phase::DataDistribution, wait_start, wait_end);
+          env.record_phase(rank, Phase::DataDistribution, wait_start, wait_end);
 
         if (app.per_query_msgs_to_all()) {
           // One message per query, for everyone: flush on batch boundary.
@@ -363,12 +364,12 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
           if (state.batch_msgs == batch_size) {
             state.batch_msgs = 0;
             ++state.current_batch;
-            if (strategy.offsets_are_notifications()) {
+            if (offsets_are_notifications(app.config.strategy)) {
               state.pending.clear();  // notification only; nothing to place
               if (app.config.query_sync) {
                 const sim::Time start = app.scheduler.now();
                 co_await app.query_barrier.arrive_and_wait();
-                app.record_phase(rank, Phase::Sync, start, app.scheduler.now());
+                env.record_phase(rank, Phase::Sync, start, app.scheduler.now());
               }
             } else {
               co_await worker_flush(app, rank, state, msg.local_query);
@@ -390,7 +391,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
       }
 
       case MasterMsg::Kind::Welcome: {
-        app.record_phase(rank, Phase::Setup, wait_start, wait_end);
+        env.record_phase(rank, Phase::Setup, wait_start, wait_end);
         // Late-joiner staging: load the announced fragment before taking
         // any task, so the first assignments hit a warm cache instead of
         // stampeding the database servers mid-run.
@@ -422,7 +423,7 @@ sim::Process worker_process(App& app, mpi::Rank rank) {
   {
     const sim::Time start = app.scheduler.now();
     co_await app.comm.barrier();
-    app.record_phase(rank, Phase::Sync, start, app.scheduler.now());
+    env.record_phase(rank, Phase::Sync, start, app.scheduler.now());
   }
   app.rank_stats[rank].wall = app.scheduler.now();
   app.rank_stats[rank].phases.finish(app.rank_stats[rank].wall);

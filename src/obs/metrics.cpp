@@ -50,28 +50,6 @@ double Histogram::percentile(double p) const noexcept {
   return max_;
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  for (int i = 0; i < kBuckets; ++i)
-    buckets_[static_cast<std::size_t>(i)] +=
-        other.buckets_[static_cast<std::size_t>(i)];
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void Histogram::reset() noexcept {
-  buckets_.fill(0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-}
-
 void Snapshot::write_json(util::JsonWriter& json) const {
   json.begin_object();
   json.key("counters");
@@ -115,16 +93,6 @@ void Snapshot::write_json(util::JsonWriter& json) const {
   json.end_object();
 }
 
-std::vector<std::string> Snapshot::names() const {
-  std::vector<std::string> all;
-  all.reserve(counters.size() + gauges.size() + histograms.size());
-  for (const auto& [name, value] : counters) all.push_back(name);
-  for (const auto& [name, value] : gauges) all.push_back(name);
-  for (const auto& [name, value] : histograms) all.push_back(name);
-  std::sort(all.begin(), all.end());
-  return all;
-}
-
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   snap.counters.reserve(counters_.size());
@@ -149,26 +117,8 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::merge(const Registry& other) {
-  for (const auto& [name, c] : other.counters_) counter(name).add(c.value());
-  for (const auto& [name, g] : other.gauges_) gauge(name).add(g.value());
-  for (const auto& [name, h] : other.histograms_) histogram(name).merge(h);
-}
-
-void Registry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
-}
-
 void Registry::write_json(util::JsonWriter& json) const {
   snapshot().write_json(json);
-}
-
-std::string Registry::to_json() const {
-  util::JsonWriter json;
-  write_json(json);
-  return json.str();
 }
 
 }  // namespace s3asim::obs

@@ -9,8 +9,8 @@
 ///
 /// Metrics are *host-side* observations: they never touch simulated time,
 /// so attaching a registry cannot perturb a run (see DESIGN.md §8).  The
-/// registry is single-threaded like the simulator; parallel sweeps give
-/// each job its own registry and `merge()` them afterwards.
+/// registry is single-threaded like the simulator; concurrent runs each
+/// write their own.
 
 #include <array>
 #include <cstdint>
@@ -31,7 +31,6 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -43,7 +42,6 @@ class Gauge {
   void set(double value) noexcept { value_ = value; }
   void add(double delta) noexcept { value_ += delta; }
   [[nodiscard]] double value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -71,9 +69,6 @@ class Histogram {
 
   /// Value at percentile `p` in [0, 100]; 0 when empty.
   [[nodiscard]] double percentile(double p) const noexcept;
-
-  void merge(const Histogram& other) noexcept;
-  void reset() noexcept;
 
  private:
   [[nodiscard]] static int bucket_of(double value) noexcept;
@@ -108,10 +103,6 @@ struct Snapshot {
   /// Writes the `{"counters":{...},"gauges":{...},"histograms":{...}}`
   /// object at the writer's current position.
   void write_json(util::JsonWriter& json) const;
-
-  /// Every dotted metric name present, sorted (counters + gauges +
-  /// histograms).
-  [[nodiscard]] std::vector<std::string> names() const;
 };
 
 /// Named-metric registry.  Lookup creates on first use; returned references
@@ -128,20 +119,8 @@ class Registry {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Accumulates `other` into this registry: counters add, gauges add,
-  /// histograms merge.  Used to combine per-job registries of a parallel
-  /// sweep.
-  void merge(const Registry& other);
-
-  /// Zeroes every metric but keeps the name set (so a reset registry still
-  /// serializes its full catalog).
-  void reset();
-
   /// Serializes `snapshot()` at the writer's current position.
   void write_json(util::JsonWriter& json) const;
-
-  /// Standalone `{"counters":...}` document.
-  [[nodiscard]] std::string to_json() const;
 
  private:
   std::map<std::string, Counter> counters_;

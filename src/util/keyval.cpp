@@ -1,7 +1,6 @@
 #include "util/keyval.hpp"
 
 #include <cctype>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -99,14 +98,6 @@ KeyValConfig KeyValConfig::parse(const std::string& text) {
   }
   flush_histogram();
   return config;
-}
-
-KeyValConfig KeyValConfig::parse_file(const std::string& path) {
-  std::ifstream input(path);
-  if (!input) throw std::runtime_error("cannot open config file: " + path);
-  std::ostringstream buffer;
-  buffer << input.rdbuf();
-  return parse(buffer.str());
 }
 
 const std::string* KeyValConfig::find(const std::string& key) const {

@@ -31,9 +31,6 @@ class KeyValConfig {
   /// Parses text; throws std::invalid_argument with line info on errors.
   [[nodiscard]] static KeyValConfig parse(const std::string& text);
 
-  /// Reads and parses a file; throws std::runtime_error if unreadable.
-  [[nodiscard]] static KeyValConfig parse_file(const std::string& path);
-
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed getters: return the parsed value or `fallback`; throw

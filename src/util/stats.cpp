@@ -28,24 +28,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double percentile(std::span<const double> values, double p) {
   S3A_REQUIRE(p >= 0.0 && p <= 100.0);
   S3A_REQUIRE_MSG(!values.empty(), "percentile of empty sample");
@@ -57,13 +39,6 @@ double percentile(std::span<const double> values, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-double mean_of(std::span<const double> values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
 }
 
 double coefficient_of_variation(std::span<const double> values) {

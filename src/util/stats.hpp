@@ -24,9 +24,6 @@ class RunningStats {
   [[nodiscard]] double max() const noexcept { return max_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
 
-  /// Merges another accumulator (parallel Welford combine).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -41,8 +38,5 @@ class RunningStats {
 
 /// Coefficient of variation (stddev / mean); 0 when mean is 0.
 [[nodiscard]] double coefficient_of_variation(std::span<const double> values);
-
-/// Arithmetic mean of a sample (0 for empty).
-[[nodiscard]] double mean_of(std::span<const double> values);
 
 }  // namespace s3asim::util

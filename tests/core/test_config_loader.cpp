@@ -65,12 +65,9 @@ TEST(ConfigLoaderTest, ModelKeys) {
 }
 
 TEST(ConfigLoaderTest, HintsKeys) {
-  const auto config = load_config(
-      "cb_nodes = 4\ncb_buffer_size = 1MiB\ncollective_algorithm = list_sync\n");
+  const auto config = load_config("cb_nodes = 4\ncb_buffer_size = 1MiB\n");
   EXPECT_EQ(config.hints.cb_nodes, 4u);
   EXPECT_EQ(config.hints.cb_buffer_size, 1u << 20);
-  EXPECT_EQ(config.hints.collective_algorithm,
-            s3asim::mpiio::CollectiveAlgorithm::ListWithSync);
 }
 
 TEST(ConfigLoaderTest, HistogramSectionsApply) {
@@ -163,14 +160,21 @@ TEST(ConfigLoaderTest, AggrWithServerFaultStillRuns) {
   EXPECT_TRUE(stats.file_exact);
 }
 
+// The strategy picks the collective algorithm (WW-CollList is list I/O
+// plus synchronization), so no key selects it a second way.
 TEST(ConfigLoaderTest, UnknownCollectiveRejected) {
-  EXPECT_THROW((void)load_config("collective_algorithm = psychic\n"),
-               std::invalid_argument);
-}
-
-TEST(ConfigLoaderTest, MissingFileThrows) {
-  EXPECT_THROW((void)load_config_file("/no/such/file.conf"),
-               std::runtime_error);
+  for (const char* value : {"list_sync", "psychic"}) {
+    try {
+      (void)load_config(std::string("collective_algorithm = ") + value);
+      FAIL() << "expected an unrecognized-key error for " << value;
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(
+          message.find("unrecognized config keys: 'collective_algorithm'"),
+          std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(ConfigLoaderTest, ServingKeysParse) {
@@ -607,19 +611,41 @@ TEST(ConfigLoaderTest, JoinNamingUnknownSpeedClassListsKnownClasses) {
   }
 }
 
+// Membership changes (elastic serving, a scheduled join) are rejected for
+// exactly the lockstep-flush strategies, naming the strategy and an
+// independent-writer alternative; every other strategy runs.
 TEST(ConfigLoaderTest, ElasticWithCollectiveStrategyRejectedWithAlternatives) {
-  auto config = test_config();
-  config.strategy = Strategy::WWColl;
-  config.serving.arrival_rate_hz = 2.0;
-  config.membership.elastic = true;
-  config.membership.min_workers = 1;
-  try {
-    (void)run_simulation(config);
-    FAIL() << "expected failure naming the strategy conflict";
-  } catch (const std::exception& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("WW-Coll"), std::string::npos) << message;
-    EXPECT_NE(message.find("WW-List"), std::string::npos) << message;
+  auto elastic = test_config();
+  elastic.serving.arrival_rate_hz = 2.0;
+  elastic.membership.elastic = true;
+  elastic.membership.min_workers = 1;
+  auto join = test_config();
+  join.membership.joins.push_back(
+      {/*rank=*/4, /*at=*/s3asim::sim::milliseconds(200), /*speed_class=*/""});
+  for (SimConfig config : {elastic, join}) {
+    for (const Strategy strategy : kAllStrategies) {
+      config.strategy = strategy;
+      const std::string label =
+          std::string(strategy_name(strategy)) +
+          (config.membership.elastic ? " elastic" : " join");
+      const bool rejected = strategy == Strategy::WWColl ||
+                            strategy == Strategy::WWCollList ||
+                            strategy == Strategy::WWAggr;
+      try {
+        const auto stats = run_simulation(config);
+        EXPECT_FALSE(rejected) << label << ": expected the strategy conflict";
+        EXPECT_TRUE(stats.file_exact) << label;
+      } catch (const std::exception& error) {
+        const std::string message = error.what();
+        EXPECT_TRUE(rejected) << label << ": " << message;
+        const std::string named = std::string("strategy ") +
+                                  strategy_name(strategy) + " synchronizes";
+        EXPECT_NE(message.find(named), std::string::npos)
+            << label << ": " << message;
+        EXPECT_NE(message.find("WW-List"), std::string::npos)
+            << label << ": " << message;
+      }
+    }
   }
 }
 

@@ -48,6 +48,27 @@ TEST(StrategyTest, CollectiveClassification) {
         << strategy_name(strategy);
 }
 
+TEST(StrategyTest, LockstepFlushClassification) {
+  for (const Strategy strategy : kAllStrategies)
+    EXPECT_EQ(lockstep_flush(strategy),
+              is_collective(strategy) || strategy == Strategy::WWAggr)
+        << strategy_name(strategy);
+}
+
+TEST(StrategyTest, NotificationClassification) {
+  for (const Strategy strategy : kAllStrategies) {
+    EXPECT_EQ(offsets_are_notifications(strategy),
+              strategy == Strategy::MW ||
+                  strategy == Strategy::WWFilePerProcess)
+        << strategy_name(strategy);
+    // A notification-only strategy never flushes, so it has no flush to
+    // run in lockstep.
+    if (offsets_are_notifications(strategy)) {
+      EXPECT_FALSE(lockstep_flush(strategy)) << strategy_name(strategy);
+    }
+  }
+}
+
 // The property the CLI/config loader depend on: the canonical name of
 // every enumerator parses back to that enumerator, in any case.
 TEST(StrategyTest, ParseRoundTripEveryEnumerator) {
@@ -100,20 +121,19 @@ TEST(StrategyTest, ParseRejectsUnknownWithCanonicalSpellings) {
   }
 }
 
-// The registry is the pluggability seam: every enumerator must resolve to
-// an IoStrategy whose id and coarse traits agree with the header's
-// classification helpers.
+// make_strategy is the pluggability seam: every enumerator must resolve to
+// an IoStrategy, and the collective writers must carry their algorithm in
+// the group file's hints (the only place WW-Coll and WW-CollList differ).
 TEST(StrategyRegistryTest, EveryEnumeratorResolvesConsistently) {
+  const SimConfig config = test_config();
   for (const Strategy strategy : kAllStrategies) {
     const auto made = make_strategy(strategy);
     ASSERT_NE(made, nullptr) << strategy_name(strategy);
-    EXPECT_EQ(made->id(), strategy) << strategy_name(strategy);
-    EXPECT_EQ(made->worker_writes(), worker_writes(strategy))
+    const auto expected = strategy == Strategy::WWCollList
+                              ? s3asim::mpiio::CollectiveAlgorithm::ListWithSync
+                              : s3asim::mpiio::CollectiveAlgorithm::TwoPhase;
+    EXPECT_EQ(made->file_hints(config).collective_algorithm, expected)
         << strategy_name(strategy);
-    if (is_collective(strategy)) {
-      EXPECT_TRUE(made->broadcasts_offsets()) << strategy_name(strategy);
-      EXPECT_TRUE(made->flush_blocks_process()) << strategy_name(strategy);
-    }
   }
 }
 

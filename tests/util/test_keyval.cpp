@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace {
 
@@ -106,19 +106,6 @@ TEST(KeyValTest, UnusedKeysTracksUntouched) {
   const auto unused = config.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "unused");
-}
-
-TEST(KeyValTest, ParseFile) {
-  const std::string path = ::testing::TempDir() + "/s3asim_keyval_test.conf";
-  {
-    std::ofstream out(path);
-    out << "answer = 42\n";
-  }
-  const auto config = KeyValConfig::parse_file(path);
-  EXPECT_EQ(config.get_int("answer", 0), 42);
-  std::remove(path.c_str());
-  EXPECT_THROW((void)KeyValConfig::parse_file("/no/such/file.conf"),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 namespace {
 
 using s3asim::util::coefficient_of_variation;
-using s3asim::util::mean_of;
 using s3asim::util::percentile;
 using s3asim::util::RunningStats;
 
@@ -44,32 +43,6 @@ TEST(RunningStatsTest, MinMaxSum) {
   EXPECT_DOUBLE_EQ(s.sum(), 9.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats all, left, right;
-  const std::vector<double> data{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    all.add(data[i]);
-    (i < 5 ? left : right).add(data[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(PercentileTest, MedianOfOddSample) {
   const std::vector<double> v{5, 1, 3};
   EXPECT_DOUBLE_EQ(percentile(v, 50), 3.0);
@@ -91,12 +64,6 @@ TEST(PercentileTest, RejectsEmptyAndBadP) {
   EXPECT_THROW((void)percentile({}, 50), std::invalid_argument);
   const std::vector<double> v{1.0};
   EXPECT_THROW((void)percentile(v, 101), std::invalid_argument);
-}
-
-TEST(MeanOfTest, Basics) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  const std::vector<double> v{2, 4, 9};
-  EXPECT_DOUBLE_EQ(mean_of(v), 5.0);
 }
 
 TEST(CoefficientOfVariationTest, ZeroForConstant) {
