@@ -16,16 +16,18 @@
 ///    ceil(log2(P)) network latencies.
 ///
 /// Who owns completion state.  `send` and `recv` return awaiters, not
-/// child coroutines: the `co_await` keeps the awaiter (a `sim::Gate` for a
-/// send; a `RequestState`, i.e. the gate plus the slot the matched message
-/// lands in, for a receive) in the awaiting coroutine's frame, and the
-/// delivery process or posted-receive entry points at it.  Completion
-/// opens that gate, which resumes the awaiting coroutine directly.  A
-/// receive found in the unexpected queue completes in `await_ready`
-/// without suspending, so draining a backlog costs no event and no stack.
-/// A posted receive must complete (or be cancelled by `cancel_posted`)
-/// before its awaiting frame is destroyed.  No operation allocates
-/// completion state.
+/// child coroutines, and a message's trip is a frame-less `Delivery` step
+/// (the wire transfer, then the match), not a coroutine.  The `co_await`
+/// keeps the awaiter in the awaiting coroutine's frame: for a send, the
+/// delivery itself, which schedules the sender once the message is
+/// matched; for a receive, a `RequestState` (a gate plus the slot the
+/// matched message lands in) that the posted-receive entry points at and
+/// that the match opens.  A receive found in the unexpected queue
+/// completes in `await_ready` without suspending, so draining a backlog
+/// costs no event and no stack.  A posted receive must complete (or be
+/// cancelled by `cancel_posted`) before its awaiting frame is destroyed.
+/// A blocking send or receive allocates nothing; a `post` takes one pooled
+/// block for its delivery (DESIGN.md §7 "Frame-less wire operations").
 ///
 /// Every entry point validates its ranks and tags at the call.
 
@@ -37,6 +39,8 @@
 #include "mpi/message.hpp"
 #include "net/network.hpp"
 #include "sim/barrier.hpp"
+#include "sim/frame_pool.hpp"
+#include "sim/step.hpp"
 #include "sim/task.hpp"
 #include "util/require.hpp"
 
@@ -75,8 +79,67 @@ class Comm {
 
   [[nodiscard]] Rank size() const noexcept { return size_; }
 
-  /// Awaiter of a blocking send; see `send`.  It is neither copyable nor
-  /// movable, so `done_` keeps the address `deliver` was created with.
+  /// One message's trip, as a step spawned at the send: the wire transfer,
+  /// then the match at `dst`, then — for a `send` — the blocked sender
+  /// scheduled, or — for a `post` — its pooled block freed.  It counts as
+  /// a process from its spawn to its match.
+  class Delivery : public sim::Step, public sim::PoolAllocated {
+   public:
+    Delivery(Comm& comm, Rank src, Rank dst, Tag tag, std::uint64_t bytes,
+             Payload payload) noexcept
+        : Step(&fire_stage),
+          comm_(&comm),
+          bytes_(bytes),
+          src_(src),
+          dst_(dst),
+          tag_(tag),
+          payload_(std::move(payload)) {}
+
+    /// Spawns the delivery of a blocking send: `sender` is scheduled once
+    /// the message is matched.
+    void spawn_for(std::coroutine_handle<> sender) {
+      sender_ = sender;
+      comm_->scheduler_->spawn(*this);
+    }
+
+   private:
+    friend class Comm;
+
+    static void fire_stage(sim::Step& step) {
+      auto& self = static_cast<Delivery&>(step);
+      Comm& comm = *self.comm_;
+      if (!self.started_) {
+        self.started_ = true;
+        self.sent_at_ = comm.scheduler_->now();
+        if (!self.transfer_.start(*comm.network_, comm.endpoint_of(self.src_),
+                                  comm.endpoint_of(self.dst_), self.bytes_,
+                                  &self))
+          return;
+      }
+      comm.arrive(self);
+      sim::Scheduler& scheduler = *comm.scheduler_;
+      if (self.sender_) {
+        scheduler.schedule_now(self.sender_);
+      } else {
+        delete &self;  // posted: nobody waits for it
+      }
+      scheduler.note_process_finished();
+    }
+
+    Comm* comm_;
+    std::uint64_t bytes_;
+    sim::Time sent_at_ = 0;
+    Rank src_;
+    Rank dst_;
+    Tag tag_;
+    bool started_ = false;
+    std::coroutine_handle<> sender_{};  ///< null for a `post`
+    Payload payload_;
+    net::Transfer transfer_;
+  };
+
+  /// Awaiter of a blocking send; see `send`.  It holds the delivery, so it
+  /// is neither copyable nor movable.
   class [[nodiscard]] SendAwaiter {
    public:
     SendAwaiter(const SendAwaiter&) = delete;
@@ -84,23 +147,17 @@ class Comm {
 
     [[nodiscard]] bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> handle) {
-      scheduler_->spawn(std::move(delivery_));
-      done_.wait().await_suspend(handle);
+      delivery_.spawn_for(handle);
     }
     void await_resume() const noexcept {}
 
    private:
     friend class Comm;
     SendAwaiter(Comm& comm, Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-                Payload payload)
-        : scheduler_(comm.scheduler_),
-          done_(*comm.scheduler_),
-          delivery_(comm.deliver(src, dst, tag, bytes, std::move(payload),
-                                 &done_)) {}
+                Payload payload) noexcept
+        : delivery_(comm, src, dst, tag, bytes, std::move(payload)) {}
 
-    sim::Scheduler* scheduler_;
-    sim::Gate done_;
-    sim::Process delivery_;  ///< not started until `await_suspend`
+    Delivery delivery_;  ///< not started until `await_suspend`
   };
 
   /// Awaiter of a blocking receive; see `recv`.
@@ -160,7 +217,7 @@ class Comm {
             Payload payload) {
     check_send(src, dst, tag);
     scheduler_->spawn(
-        deliver(src, dst, tag, bytes, std::move(payload), nullptr));
+        *new Delivery(*this, src, dst, tag, bytes, std::move(payload)));
   }
   /// Fire-and-forget send of a payload-free message.
   void post(Rank src, Rank dst, Tag tag, std::uint64_t bytes) {
@@ -274,31 +331,28 @@ class Comm {
     return static_cast<sim::Time>(rounds) * network_->params().latency;
   }
 
-  /// Moves one message over the network and matches it at `dst`, then
-  /// opens `sent` (null for a posted send).
-  sim::Process deliver(Rank src, Rank dst, Tag tag, std::uint64_t bytes,
-                       Payload payload, sim::Gate* sent) {
-    const sim::Time sent_at = scheduler_->now();
-    co_await network_->transfer(endpoint_of(src), endpoint_of(dst), bytes);
+  /// A delivery's message has arrived at its destination NIC: reports it
+  /// to the observer and matches it against the posted receives, or queues
+  /// it as unexpected.
+  void arrive(Delivery& delivery) {
     if (observer_ != nullptr)
-      observer_->on_message_delivered(src, dst, tag, bytes, sent_at,
-                                      scheduler_->now());
-    Message message{.source = src, .tag = tag, .bytes = bytes,
-                    .payload = std::move(payload)};
-    Mailbox& box = mailboxes_[dst];
-    bool matched = false;
+      observer_->on_message_delivered(delivery.src_, delivery.dst_,
+                                      delivery.tag_, delivery.bytes_,
+                                      delivery.sent_at_, scheduler_->now());
+    Message message{.source = delivery.src_, .tag = delivery.tag_,
+                    .bytes = delivery.bytes_,
+                    .payload = std::move(delivery.payload_)};
+    Mailbox& box = mailboxes_[delivery.dst_];
     for (auto it = box.posted.begin(); it != box.posted.end(); ++it) {
       if (matches(it->source, it->tag, message)) {
         RequestState* receiver = it->slot;
         box.posted.erase(it);
         receiver->message = std::move(message);
         receiver->mark_complete();
-        matched = true;
-        break;
+        return;
       }
     }
-    if (!matched) box.unexpected.push_back(std::move(message));
-    if (sent != nullptr) sent->open();
+    box.unexpected.push_back(std::move(message));
   }
 
   sim::Scheduler* scheduler_;

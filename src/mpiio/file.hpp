@@ -23,6 +23,13 @@
 /// `write_at_all` before every other participant has arrived and the
 /// aggregators have drained their writes.  `collective_wait(rank)`
 /// reports the accumulated stall.
+///
+/// Two-phase file domains are equal `chunk`-sized ranges from the lowest
+/// offset written, so an extent's first domain is one division away: the
+/// per-aggregator byte sums and write lists cost one pass over the extents
+/// plus the domains they actually touch.  Each exchange send is a pooled
+/// frame-less step (a wire transfer, then one mark on the round's latch),
+/// not a coroutine (DESIGN.md §7 "Frame-less wire operations").
 
 #include <algorithm>
 #include <cstdint>
@@ -33,7 +40,9 @@
 #include "mpi/comm.hpp"
 #include "mpiio/hints.hpp"
 #include "pfs/pfs.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/gate.hpp"
+#include "sim/step.hpp"
 #include "sim/task.hpp"
 #include "sim/wait_group.hpp"
 #include "util/require.hpp"
@@ -222,6 +231,8 @@ class File {
     std::vector<std::size_t> aggregator_slots; // active slots acting as aggs
     std::vector<Extent> domains;               // per-aggregator [offset,len)
     std::vector<std::vector<Extent>> to_write; // merged extents per aggregator
+    std::uint64_t lo = 0;     // domain a starts at lo + a * chunk (clipped)
+    std::uint64_t chunk = 0;  // 0: nothing to write this round
   };
 
   [[nodiscard]] std::size_t slot_of(mpi::Rank rank) const {
@@ -297,6 +308,8 @@ class File {
       const std::uint64_t strip = fs_->layout().strip_size();
       chunk = (chunk + strip - 1) / strip * strip;
     }
+    ctx.lo = lo;
+    ctx.chunk = chunk;
     for (std::uint32_t a = 0; a < ctx.aggregator_count; ++a) {
       const std::uint64_t start = std::min(hi, lo + a * chunk);
       const std::uint64_t end = std::min(hi, start + chunk);
@@ -316,34 +329,73 @@ class File {
         merged.push_back(extent);
       }
     }
-    for (std::uint32_t a = 0; a < ctx.aggregator_count; ++a) {
-      const Extent& domain = ctx.domains[a];
-      for (const Extent& extent : merged) {
-        const std::uint64_t s = std::max(extent.offset, domain.offset);
-        const std::uint64_t e = std::min(extent.end(), domain.end());
-        if (s < e) ctx.to_write[a].push_back(Extent{s, e - s});
-      }
-    }
+    // Merged extents ascend, so each domain's list fills in file order.
+    for (const Extent& extent : merged)
+      for_each_slice(ctx, extent, [&](std::uint32_t a, const Extent& slice) {
+        ctx.to_write[a].push_back(slice);
+      });
   }
 
-  /// Bytes of `extents` falling inside `domain`.
-  [[nodiscard]] static std::uint64_t bytes_in_domain(
-      const std::vector<Extent>& extents, const Extent& domain) noexcept {
-    std::uint64_t total = 0;
-    for (const Extent& extent : extents) {
+  /// Calls `visit(a, slice)` for each nonempty piece of `extent` inside
+  /// aggregator `a`'s domain, in ascending `a`: the first domain touched is
+  /// found by division, and the walk stops at the first domain past the
+  /// extent.
+  template <class Visit>
+  static void for_each_slice(const Context& ctx, const Extent& extent,
+                             Visit&& visit) {
+    if (ctx.chunk == 0 || extent.length == 0) return;
+    const std::uint64_t first =
+        extent.offset <= ctx.lo ? 0 : (extent.offset - ctx.lo) / ctx.chunk;
+    for (auto a = static_cast<std::size_t>(
+             std::min<std::uint64_t>(first, ctx.aggregator_count));
+         a < ctx.aggregator_count && ctx.domains[a].offset < extent.end();
+         ++a) {
+      const Extent& domain = ctx.domains[a];
       const std::uint64_t s = std::max(extent.offset, domain.offset);
       const std::uint64_t e = std::min(extent.end(), domain.end());
-      if (s < e) total += e - s;
+      if (s < e) visit(static_cast<std::uint32_t>(a), Extent{s, e - s});
     }
-    return total;
   }
 
-  sim::Process exchange_to(mpi::Rank from, mpi::Rank to, std::uint64_t bytes,
-                           sim::WaitGroup& done) {
-    co_await network_->transfer(comm_->endpoint_of(from), comm_->endpoint_of(to),
-                                bytes);
-    done.done();
-  }
+  /// One two-phase exchange send, as a pooled step spawned at the send:
+  /// the transfer to the aggregator, then one mark on the round's latch.
+  class ExchangeSend : public sim::Step, public sim::PoolAllocated {
+   public:
+    ExchangeSend(File& file, mpi::Rank from, mpi::Rank to,
+                 std::uint64_t bytes, sim::WaitGroup& done) noexcept
+        : Step(&fire_stage),
+          file_(&file),
+          done_(&done),
+          bytes_(bytes),
+          from_(from),
+          to_(to) {}
+
+   private:
+    static void fire_stage(sim::Step& step) {
+      auto& self = static_cast<ExchangeSend&>(step);
+      File& file = *self.file_;
+      if (!self.started_) {
+        self.started_ = true;
+        if (!self.transfer_.start(*file.network_,
+                                  file.comm_->endpoint_of(self.from_),
+                                  file.comm_->endpoint_of(self.to_),
+                                  self.bytes_, &self))
+          return;
+      }
+      sim::Scheduler& scheduler = *file.scheduler_;
+      self.done_->done();
+      delete &self;
+      scheduler.note_process_finished();
+    }
+
+    File* file_;
+    sim::WaitGroup* done_;
+    std::uint64_t bytes_;
+    mpi::Rank from_;
+    mpi::Rank to_;
+    bool started_ = false;
+    net::Transfer transfer_;
+  };
 
   sim::Task<void> two_phase_exchange_and_write(Context& ctx, mpi::Rank rank,
                                                std::size_t slot) {
@@ -351,14 +403,19 @@ class File {
     co_await scheduler_->delay(hints_.two_phase_round_overhead);
 
     // ---- Phase 1: data exchange to aggregators. ---------------------------
-    const std::vector<Extent>& mine = ctx.extents_by_slot[slot];
+    std::vector<std::uint64_t>& bytes = exchange_bytes_;
+    bytes.assign(ctx.aggregator_count, 0);
+    for (const Extent& extent : ctx.extents_by_slot[slot])
+      for_each_slice(ctx, extent, [&](std::uint32_t a, const Extent& slice) {
+        bytes[a] += slice.length;
+      });
     sim::WaitGroup sends(*scheduler_);
     for (std::uint32_t a = 0; a < ctx.aggregator_count; ++a) {
-      const std::uint64_t bytes = bytes_in_domain(mine, ctx.domains[a]);
-      if (bytes == 0) continue;
+      if (bytes[a] == 0) continue;
       sends.add();
-      scheduler_->spawn(exchange_to(
-          rank, participants_[ctx.aggregator_slots[a]], bytes, sends));
+      scheduler_->spawn(*new ExchangeSend(
+          *this, rank, participants_[ctx.aggregator_slots[a]], bytes[a],
+          sends));
     }
     co_await sends.wait();
     if (++ctx.exchanged == ctx.participant_count) {
@@ -412,6 +469,9 @@ class File {
   std::vector<bool> inactive_;  ///< deactivated (failed) participants
   std::size_t inactive_count_ = 0;
   std::map<std::uint64_t, std::unique_ptr<Context>> contexts_;
+  /// Per-aggregator bytes of the exchange being sent; every read happens
+  /// before the sending participant first suspends.
+  std::vector<std::uint64_t> exchange_bytes_;
 };
 
 }  // namespace s3asim::mpiio

@@ -9,6 +9,7 @@
 /// contiguous file extent maps to at most one contiguous region per server —
 /// which is why contiguous I/O is so much cheaper than noncontiguous I/O.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,12 +37,13 @@ struct ServerPiece {
   friend bool operator==(const ServerPiece&, const ServerPiece&) = default;
 };
 
-/// Caller-owned scratch for `Layout::group_by_server`: the per-server OL
-/// lists keep their capacity across calls, so a client that decomposes
-/// thousands of extents (WW-POSIX: one call per extent per query) allocates
-/// only on its very first use.  `Pfs` pools these per in-flight operation.
-struct GroupScratch {
-  std::vector<std::vector<ServerPiece>> per_server;
+/// One server's share of an extent list: the OL pairs a list-I/O request
+/// to it would carry (adjacent server-local ranges coalesced) and their
+/// byte total — all a request's cost depends on.
+struct ServerTally {
+  std::uint64_t pairs = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t end = 0;  ///< server-local end of the last pair
 };
 
 class Layout {
@@ -99,47 +101,58 @@ class Layout {
     return pieces;
   }
 
-  /// Maps many extents and groups the pieces per server into caller-owned
-  /// scratch, coalescing adjacent server-local ranges.
-  /// `scratch.per_server[s]` is the OL (offset-length) list that a list-I/O
-  /// request would carry to server `s`.  Allocation-free once the scratch's
-  /// lists have grown to the working set: the strip walk appends directly to
-  /// the per-server lists instead of materialising intermediate piece
-  /// vectors.
-  void group_by_server(std::span<const Extent> extents,
-                       GroupScratch& scratch) const {
-    scratch.per_server.resize(server_count_);
-    for (auto& list : scratch.per_server) list.clear();
+  /// Maps many extents and groups the pieces per server, coalescing
+  /// adjacent server-local ranges: `result[s]` is the OL (offset-length)
+  /// list that a list-I/O request would carry to server `s`.
+  [[nodiscard]] std::vector<std::vector<ServerPiece>> group_by_server(
+      const std::vector<Extent>& extents) const {
+    std::vector<std::vector<ServerPiece>> per_server(server_count_);
+    for_each_piece(extents, [&](const ServerPiece& piece) {
+      auto& list = per_server[piece.server];
+      if (!list.empty() &&
+          list.back().server_offset + list.back().length ==
+              piece.server_offset) {
+        list.back().length += piece.length;
+      } else {
+        list.push_back(piece);
+      }
+    });
+    return per_server;
+  }
+
+  /// What `group_by_server` would give each server, counted instead of
+  /// listed: `tally[s]` has the pair count and byte total of server `s`'s
+  /// OL list.  `tally` is resized and reset; reusing it allocates nothing.
+  void tally_by_server(std::span<const Extent> extents,
+                       std::vector<ServerTally>& tally) const {
+    tally.assign(server_count_, ServerTally{});
+    for_each_piece(extents, [&](const ServerPiece& piece) {
+      ServerTally& server = tally[piece.server];
+      if (server.pairs == 0 || server.end != piece.server_offset)
+        ++server.pairs;
+      server.bytes += piece.length;
+      server.end = piece.server_offset + piece.length;
+    });
+  }
+
+ private:
+  /// Calls `visit` with every strip-sized piece of `extents`, in order.
+  template <class Visit>
+  void for_each_piece(std::span<const Extent> extents, Visit&& visit) const {
     for (const Extent& extent : extents) {
       std::uint64_t offset = extent.offset;
       std::uint64_t remaining = extent.length;
       while (remaining > 0) {
         const std::uint64_t in_strip = offset % strip_size_;
         const std::uint64_t chunk = std::min(remaining, strip_size_ - in_strip);
-        const std::uint32_t server = server_of(offset);
-        const std::uint64_t server_off = server_offset_of(offset);
-        auto& list = scratch.per_server[server];
-        if (!list.empty() &&
-            list.back().server_offset + list.back().length == server_off) {
-          list.back().length += chunk;
-        } else {
-          list.push_back(ServerPiece{server, server_off, chunk});
-        }
+        visit(ServerPiece{server_of(offset), server_offset_of(offset),
+                          chunk});
         offset += chunk;
         remaining -= chunk;
       }
     }
   }
 
-  /// Convenience form returning fresh vectors (tests, cold paths).
-  [[nodiscard]] std::vector<std::vector<ServerPiece>> group_by_server(
-      const std::vector<Extent>& extents) const {
-    GroupScratch scratch;
-    group_by_server(std::span<const Extent>(extents), scratch);
-    return std::move(scratch.per_server);
-  }
-
- private:
   std::uint64_t strip_size_;
   std::uint32_t server_count_;
 };

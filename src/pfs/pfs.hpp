@@ -14,13 +14,17 @@
 ///  * server-side costs: per-request overhead, per-OL-pair overhead, byte
 ///    bandwidth, and an explicit sync (flush) request.
 ///
-/// Every client operation is one coroutine built on three helpers:
-/// `round_trip` (one request to one server — the only code that enqueues
-/// server work), its detached wrapper, and `fan_out` (one request per
-/// touched server, in parallel).  The access methods of ROMIO's ADIO layer
-/// differ only in the requests they shape (docs/IO_MODEL.md): list I/O
-/// ships each server's whole OL list, POSIX one round trip per extent, and
-/// data sieving (sieve.hpp) contiguous buffer-sized windows.
+/// Every client operation is one coroutine built on two helpers:
+/// `RoundTrip` (one request to one server — the only code that enqueues
+/// server work) and `fan_out` (one request per touched server, in
+/// parallel).  A round trip is a frame-less `sim::Step`, not a coroutine:
+/// awaited, it lives in the awaiting frame; fanned out, each is spawned in
+/// a pooled block of its own, and the server wakes it by scheduling it
+/// (DESIGN.md §7 "Frame-less wire operations").  The access methods of
+/// ROMIO's ADIO layer differ only in the requests they shape
+/// (docs/IO_MODEL.md): list I/O ships each server's whole OL list, POSIX
+/// one round trip per extent, and data sieving (sieve.hpp) contiguous
+/// buffer-sized windows.
 ///
 /// Optional client-side cache layer (DESIGN.md §10): when
 /// `PfsParams::cache` is enabled, each operation consults a per-client
@@ -33,6 +37,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <coroutine>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -50,8 +55,9 @@
 #include "pfs/pfs_types.hpp"
 #include "pfs/sieve.hpp"
 #include "sim/channel.hpp"
-#include "sim/gate.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/resource.hpp"
+#include "sim/step.hpp"
 #include "sim/task.hpp"
 #include "sim/wait_group.hpp"
 #include "util/require.hpp"
@@ -285,11 +291,9 @@ class Pfs {
         co_await fan_out(RequestKind::Write, client, run.extents);
     }
     sim::WaitGroup pending(*scheduler_);
-    for (std::uint32_t s = 0; s < servers_.size(); ++s) {
-      pending.add();
-      scheduler_->spawn(detached_round_trip(RequestKind::Sync, s, client,
-                                            /*pairs=*/0, /*bytes=*/0, pending));
-    }
+    for (std::uint32_t s = 0; s < servers_.size(); ++s)
+      spawn_round_trip(RequestKind::Sync, s, client, /*pairs=*/0,
+                       /*bytes=*/0, pending);
     co_await pending.wait();
   }
 
@@ -379,7 +383,7 @@ class Pfs {
     RequestKind kind = RequestKind::Write;
     std::uint64_t pairs = 0;
     std::uint64_t bytes = 0;
-    sim::Gate* done = nullptr;
+    sim::Target done{};  ///< scheduled once the request is serviced
   };
   struct ActiveFault {
     ServerDegradation spec;
@@ -410,102 +414,149 @@ class Pfs {
       image.record_write(extent.offset, extent.length);
   }
 
-  /// RAII lease on a pooled `GroupScratch`.  One scratch is checked out per
-  /// in-flight fan-out (concurrent clients each hold their own) and
-  /// returned — capacity intact — when the fan-out's coroutine frame is
-  /// destroyed, after the fan-in completes.
-  class ScratchLease {
-   public:
-    ScratchLease(Pfs& fs, GroupScratch& scratch) noexcept
-        : fs_(&fs), scratch_(&scratch) {}
-    ScratchLease(const ScratchLease&) = delete;
-    ScratchLease& operator=(const ScratchLease&) = delete;
-    ~ScratchLease() { fs_->free_scratch_.push_back(scratch_); }
-
-    [[nodiscard]] GroupScratch& operator*() const noexcept { return *scratch_; }
-    [[nodiscard]] GroupScratch* operator->() const noexcept { return scratch_; }
-
-   private:
-    Pfs* fs_;
-    GroupScratch* scratch_;
-  };
-
-  [[nodiscard]] ScratchLease acquire_scratch() {
-    if (free_scratch_.empty()) {
-      scratch_pool_.push_back(std::make_unique<GroupScratch>());
-      free_scratch_.push_back(scratch_pool_.back().get());
-    }
-    GroupScratch* scratch = free_scratch_.back();
-    free_scratch_.pop_back();
-    return ScratchLease(*this, *scratch);
-  }
-
   [[nodiscard]] net::EndpointId server_endpoint(std::uint32_t server) const noexcept {
     return server_endpoint_base_ + server;
   }
 
-  /// One request round trip to one server: header, OL pairs and — for a
-  /// write — the data out; queue for service; the ack and — for a read —
-  /// the data back.  The only code that enqueues server requests.  Only
-  /// the pair count and byte total cross the wire: the server models cost,
-  /// not content.  Awaited directly it starts at once, with no scheduled
-  /// event; spawning it (`detached_round_trip`) costs one.
-  sim::Task<void> round_trip(RequestKind kind, std::uint32_t server,
-                             net::EndpointId client, std::uint64_t pairs,
-                             std::uint64_t bytes) {
-    const std::uint64_t out = params_.request_header_bytes +
-                              params_.pair_header_bytes * pairs +
-                              (kind == RequestKind::Write ? bytes : 0);
-    co_await network_->transfer(client, server_endpoint(server), out);
-    sim::Gate serviced(*scheduler_);
-    servers_[server]->queue.push(ServerRequest{kind, pairs, bytes, &serviced});
-    co_await serviced.wait();
-    co_await network_->transfer(
-        server_endpoint(server), client,
-        params_.ack_bytes + (kind == RequestKind::Read ? bytes : 0));
+  /// One request round trip to one server, as a step: header, OL pairs
+  /// and — for a write — the data out; queue for service; the ack and — for
+  /// a read — the data back.  The only code that enqueues server requests.
+  /// Only the pair count and byte total cross the wire: the server models
+  /// cost, not content.  Awaited (`round_trip`), it lives in the awaiting
+  /// frame, starts at once with no scheduled event and resumes its caller
+  /// inline as its last act.  Spawned (`spawn_round_trip`), it lives in a
+  /// pooled block, starts at its own event, counts as a process and, done,
+  /// marks its fan-out's latch and frees itself.
+  class RoundTrip : public sim::Step, public sim::PoolAllocated {
+   public:
+    RoundTrip(Pfs& fs, RequestKind kind, std::uint32_t server,
+              net::EndpointId client, std::uint64_t pairs,
+              std::uint64_t bytes, sim::WaitGroup* fan_in = nullptr) noexcept
+        : Step(&fire_stage),
+          fs_(&fs),
+          fan_in_(fan_in),
+          pairs_(pairs),
+          bytes_(bytes),
+          client_(client),
+          server_(server),
+          kind_(kind) {}
+
+    // Awaited: the stages run until one must wait, and the caller is
+    // resumed inline once the ack is back.
+    [[nodiscard]] bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> caller) {
+      then_ = caller;
+      return !advance();
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    enum class Stage : std::uint8_t { Out, Queue, Back, Done };
+
+    bool advance() {
+      net::Network& network = *fs_->network_;
+      const PfsParams& params = fs_->params_;
+      const net::EndpointId server = fs_->server_endpoint(server_);
+      switch (stage_) {
+        case Stage::Out:
+          stage_ = Stage::Queue;
+          if (!transfer_.start(
+                  network, client_, server,
+                  params.request_header_bytes +
+                      params.pair_header_bytes * pairs_ +
+                      (kind_ == RequestKind::Write ? bytes_ : 0),
+                  this))
+            return false;
+          [[fallthrough]];
+        case Stage::Queue:
+          stage_ = Stage::Back;
+          fs_->servers_[server_]->queue.push(
+              ServerRequest{kind_, pairs_, bytes_, this});
+          return false;  // the server schedules this step once serviced
+        case Stage::Back:
+          stage_ = Stage::Done;
+          if (!transfer_.start(
+                  network, server, client_,
+                  params.ack_bytes + (kind_ == RequestKind::Read ? bytes_ : 0),
+                  this))
+            return false;
+          [[fallthrough]];
+        case Stage::Done:
+          return true;
+      }
+      S3A_UNREACHABLE();
+    }
+
+    static void fire_stage(sim::Step& step) {
+      auto& self = static_cast<RoundTrip&>(step);
+      if (!self.advance()) return;
+      if (self.fan_in_ == nullptr) {
+        const sim::Target then = self.then_;
+        then.resume();  // last act: the caller may end this round trip
+        return;
+      }
+      sim::Scheduler& scheduler = *self.fs_->scheduler_;
+      self.fan_in_->done();
+      delete &self;
+      scheduler.note_process_finished();
+    }
+
+    Pfs* fs_;
+    sim::WaitGroup* fan_in_;  ///< spawned: the fan-out's latch
+    std::uint64_t pairs_;
+    std::uint64_t bytes_;
+    net::EndpointId client_;
+    std::uint32_t server_;
+    RequestKind kind_;
+    Stage stage_ = Stage::Out;
+    sim::Target then_{};  ///< awaited: the caller
+    net::Transfer transfer_;
+  };
+
+  /// One round trip, awaited: it starts at once, with no scheduled event.
+  RoundTrip round_trip(RequestKind kind, std::uint32_t server,
+                       net::EndpointId client, std::uint64_t pairs,
+                       std::uint64_t bytes) noexcept {
+    return RoundTrip(*this, kind, server, client, pairs, bytes);
   }
 
-  /// `round_trip` as a spawned process, for parallel fan-out.
-  sim::Process detached_round_trip(RequestKind kind, std::uint32_t server,
-                                   net::EndpointId client, std::uint64_t pairs,
-                                   std::uint64_t bytes, sim::WaitGroup& done) {
-    co_await round_trip(kind, server, client, pairs, bytes);
-    done.done();
+  /// One round trip, spawned (one event to start), marking `fan_in` done
+  /// when its ack is back.
+  void spawn_round_trip(RequestKind kind, std::uint32_t server,
+                        net::EndpointId client, std::uint64_t pairs,
+                        std::uint64_t bytes, sim::WaitGroup& fan_in) {
+    fan_in.add();
+    scheduler_->spawn(
+        *new RoundTrip(*this, kind, server, client, pairs, bytes, &fan_in));
   }
 
-  /// Groups `extents` per server and sends one `kind` request carrying that
-  /// server's OL list to every server touched, each as its own spawned
-  /// process, and waits for all of them.  With `await_lone`, a lone
-  /// touched server's round trip is awaited directly instead (the POSIX
-  /// path's sequential cadence).  The scratch is pooled and completion goes
-  /// through one WaitGroup, so a fan-out allocates nothing in steady state.
+  /// Tallies `extents` per server and sends one `kind` request carrying
+  /// that server's OL list to every server touched, each as its own
+  /// spawned round trip, and waits for all of them.  With `await_lone`, a
+  /// lone touched server's round trip is awaited directly instead (the
+  /// POSIX path's sequential cadence).  Every read of the shared tally
+  /// happens before the first suspension, so concurrent fan-outs can share
+  /// it; completion goes through one WaitGroup, so a fan-out allocates only
+  /// its round trips' pooled blocks.
   /// Loops skip it for an empty list: a coroutine that finishes without
   /// suspending resumes its caller by a call, not a tail call, in -O0 and
   /// sanitizer builds, so a long run of them overflows the host stack.
   sim::Task<void> fan_out(RequestKind kind, net::EndpointId client,
                           std::span<const Extent> extents,
                           bool await_lone = false) {
-    ScratchLease scratch = acquire_scratch();
-    params_.layout.group_by_server(extents, *scratch);
-    const auto& per_server = scratch->per_server;
-    const auto touches = [](const std::vector<ServerPiece>& pieces) {
-      return !pieces.empty();
-    };
+    params_.layout.tally_by_server(extents, tally_);
+    const auto touched = [](const ServerTally& t) { return t.pairs != 0; };
     const bool lone =
-        await_lone && std::ranges::count_if(per_server, touches) == 1;
+        await_lone && std::ranges::count_if(tally_, touched) == 1;
     sim::WaitGroup pending(*scheduler_);
-    for (std::uint32_t s = 0; s < per_server.size(); ++s) {
-      if (per_server[s].empty()) continue;
-      std::uint64_t bytes = 0;
-      for (const ServerPiece& piece : per_server[s]) bytes += piece.length;
+    for (std::uint32_t s = 0; s < tally_.size(); ++s) {
+      const ServerTally& tally = tally_[s];
+      if (tally.pairs == 0) continue;
       if (lone) {
-        co_await round_trip(kind, s, client, per_server[s].size(), bytes);
+        co_await round_trip(kind, s, client, tally.pairs, tally.bytes);
         co_return;
       }
-      pending.add();
-      scheduler_->spawn(detached_round_trip(kind, s, client,
-                                            per_server[s].size(), bytes,
-                                            pending));
+      spawn_round_trip(kind, s, client, tally.pairs, tally.bytes, pending);
     }
     co_await pending.wait();
   }
@@ -591,7 +642,7 @@ class Pfs {
         observer_->on_request_serviced(index, static_cast<char>(request->kind),
                                        request->pairs, request->bytes, start,
                                        scheduler_->now());
-      request->done->open();
+      scheduler_->schedule_now(request->done);
     }
   }
 
@@ -720,11 +771,8 @@ class Pfs {
   RequestObserver* observer_ = nullptr;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<FileState>> files_;
-  /// Pool of extent-decomposition scratches (stable addresses; leases hand
-  /// out raw pointers).  Grows to the peak number of concurrent fan-outs
-  /// and is reused forever after.
-  std::vector<std::unique_ptr<GroupScratch>> scratch_pool_;
-  std::vector<GroupScratch*> free_scratch_;
+  /// Per-server tally of the fan-out being sent, reset by each call.
+  std::vector<ServerTally> tally_;
   /// Cache layer (null unless params_.cache.enabled()).  The token service
   /// is a capacity-1 resource serializing metadata-server lease traffic;
   /// client caches are keyed by endpoint in a deterministic map.

@@ -20,13 +20,14 @@
 /// behind the last dispatched time (after `run_until`, or after a
 /// cancelled far-future entry was skipped).  Cancellation is a
 /// `(cancel_slot, cancel_gen)` pair checked against the scheduler's token
-/// pool, so entries stay POD.
+/// pool, and the target is one tagged word (a coroutine handle or a step),
+/// so entries stay POD.
 
-#include <coroutine>
 #include <cstdint>
 #include <vector>
 
 #include "sim/fifo_ring.hpp"
+#include "sim/step.hpp"
 #include "sim/time.hpp"
 #include "util/require.hpp"
 
@@ -35,13 +36,14 @@ namespace s3asim::sim {
 /// Slot index meaning "plain entry, not cancellable".
 inline constexpr std::uint32_t kNoCancelSlot = 0xffffffffu;
 
-/// One scheduled resumption.  `cancel_slot`/`cancel_gen` identify a
-/// generation-counted token in the scheduler's pool; a stale generation
-/// means the entry was cancelled and must be discarded on pop.
+/// One scheduled resumption of a coroutine or firing of a step.
+/// `cancel_slot`/`cancel_gen` identify a generation-counted token in the
+/// scheduler's pool; a stale generation means the entry was cancelled and
+/// must be discarded on pop.
 struct Event {
   Time at = 0;
   std::uint64_t seq = 0;
-  std::coroutine_handle<> handle{};
+  Target target{};
   std::uint32_t cancel_slot = kNoCancelSlot;
   std::uint32_t cancel_gen = 0;
 };

@@ -1,25 +1,43 @@
 #pragma once
 
 /// \file frame_pool.hpp
-/// Slab allocator for coroutine frames.
+/// Slab allocator for coroutine frames and spawned steps.
 ///
-/// Every simulated operation (network transfer, MPI message delivery, file
-/// write) is a `Task` or `Process` coroutine, so frame allocation sits on
-/// the hot path of the DES kernel.
-/// The pool replaces per-frame `malloc`/`free` with size-class free lists
+/// Every simulated operation above the wire (a file write, a fan-out, a
+/// worker's loop) is a `Task` or `Process` coroutine, and every spawned
+/// wire operation (a PFS round trip of a fan-out, a posted MPI delivery, a
+/// two-phase exchange send) is a `Step` in a block of its own, so block
+/// allocation sits on the hot path of the DES kernel.  An awaited wire
+/// operation allocates nothing: its step lives in the awaiting frame.
+/// The pool replaces per-block `malloc`/`free` with size-class free lists
 /// carved from large slabs: a hit is a pointer pop, a release is a pointer
 /// push, and slab memory is retained for reuse until thread exit.
 ///
 /// The pool is *thread-local*: a scheduler runs on exactly one thread, and a
-/// simulation allocates and frees all of its frames on that thread, so no
+/// simulation allocates and frees all of its blocks on that thread, so no
 /// synchronization is needed — which is what keeps concurrent sweep workers
-/// (bench::run_sweep) scalable.  Frames must be freed on the thread that
+/// (bench::run_sweep) scalable.  Blocks must be freed on the thread that
 /// allocated them; the single-threaded `Scheduler` guarantees this.
+///
+/// Under AddressSanitizer a freed block is poisoned past its free-list link
+/// and unpoisoned when reused, so a step that touches itself (or the frame
+/// it lives in) after its last act fails the sanitized build at once.
 
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define S3ASIM_FRAME_POOL_POISONS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define S3ASIM_FRAME_POOL_POISONS 1
+#endif
+#endif
+#ifdef S3ASIM_FRAME_POOL_POISONS
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace s3asim::sim {
 
@@ -59,9 +77,12 @@ class FramePool {
     if (FreeBlock* block = free_[klass]) {
       free_[klass] = block->next;
       ++reused_;
+#ifdef S3ASIM_FRAME_POOL_POISONS
+      ASAN_UNPOISON_MEMORY_REGION(block, block_bytes(klass));
+#endif
       return block;
     }
-    return carve((klass + 1) * kGranularity);
+    return carve(block_bytes(klass));
   }
 
   void deallocate(void* ptr, std::size_t size) noexcept {
@@ -74,6 +95,10 @@ class FramePool {
     block->next = free_[klass];
     free_[klass] = block;
     --live_;
+#ifdef S3ASIM_FRAME_POOL_POISONS
+    ASAN_POISON_MEMORY_REGION(block + 1,
+                              block_bytes(klass) - sizeof(FreeBlock));
+#endif
   }
 
   /// Pooled blocks currently handed out (0 when all frames are destroyed).
@@ -105,6 +130,10 @@ class FramePool {
     // size 0..64 -> class 0, 65..128 -> class 1, ...
     return size == 0 ? 0 : (size - 1) / kGranularity;
   }
+  [[nodiscard]] static constexpr std::size_t block_bytes(
+      std::size_t klass) noexcept {
+    return (klass + 1) * kGranularity;
+  }
 
   void* carve(std::size_t block_bytes) {
     if (static_cast<std::size_t>(bump_end_ - bump_) < block_bytes) {
@@ -131,11 +160,12 @@ class FramePool {
   std::uint64_t oversize_allocs_ = 0;
 };
 
-/// Base class wiring a coroutine promise's frame allocation into the pool.
-/// `Process::promise_type` and `Task<T>::promise_type` inherit from this;
-/// the compiler routes frame new/delete through these operators (the sized
-/// delete receives the exact frame size, so no per-block header is needed).
-struct PooledFramePromise {
+/// Base class wiring a type's `new`/`delete` into the pool.
+/// `Process::promise_type` and `Task<T>::promise_type` inherit from this,
+/// so the compiler routes frame new/delete through these operators, and so
+/// do the steps that are spawned on their own (the sized delete receives
+/// the exact size, so no per-block header is needed).
+struct PoolAllocated {
   static void* operator new(std::size_t size) {
     return FramePool::local().allocate(size);
   }

@@ -3,7 +3,8 @@
 /// \file resource.hpp
 /// Counting FIFO resource — models anything that serializes work: a NIC
 /// transmit path, a disk head, a server request pipeline.  `capacity`
-/// concurrent holders; further acquirers queue in arrival order.
+/// concurrent holders; further acquirers — coroutines or steps — queue in
+/// arrival order in one ring.
 
 #include <coroutine>
 #include <cstdint>
@@ -11,6 +12,7 @@
 
 #include "sim/fifo_ring.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/step.hpp"
 #include "util/require.hpp"
 
 namespace s3asim::sim {
@@ -27,11 +29,7 @@ class Resource {
   struct AcquireAwaiter {
     Resource& resource;
     [[nodiscard]] bool await_ready() const noexcept {
-      if (resource.in_use_ < resource.capacity_) {
-        ++resource.in_use_;
-        return true;
-      }
-      return false;
+      return resource.try_take();
     }
     void await_suspend(std::coroutine_handle<> handle) {
       resource.waiters_.push_back(handle);
@@ -41,6 +39,15 @@ class Resource {
 
   /// Awaitable acquire; pair with `release()` or use `ResourceHold`.
   [[nodiscard]] AcquireAwaiter acquire() noexcept { return AcquireAwaiter{*this}; }
+
+  /// The step form of `acquire`: takes a free slot and returns true, or
+  /// queues `step` — fired once a release hands it the slot — and returns
+  /// false.
+  [[nodiscard]] bool acquire_or_queue(Step& step) {
+    if (try_take()) return true;
+    waiters_.push_back(&step);
+    return false;
+  }
 
   /// Releases one slot.  If a waiter is queued, the slot is handed over
   /// directly (in_use_ stays constant) and the waiter resumes at `now`.
@@ -58,10 +65,16 @@ class Resource {
   [[nodiscard]] std::size_t queue_length() const noexcept { return waiters_.size(); }
 
  private:
+  [[nodiscard]] bool try_take() noexcept {
+    if (in_use_ == capacity_) return false;
+    ++in_use_;
+    return true;
+  }
+
   Scheduler* scheduler_;
   std::uint32_t capacity_;
   std::uint32_t in_use_ = 0;
-  FifoRing<std::coroutine_handle<>> waiters_{};
+  FifoRing<Target> waiters_{};
 };
 
 /// RAII release for a slot that has already been acquired:

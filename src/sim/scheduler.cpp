@@ -13,7 +13,7 @@ std::size_t Scheduler::run() {
     const Event event = queue_.pop_next();
     if (cancelled(event)) continue;  // dead timer entry
     now_ = event.at;
-    event.handle.resume();
+    dispatch(event.target);
     ++resumed;
     if (prof_every_ != 0 && --prof_countdown_ == 0) profile_sample();
     if (first_error_) {
@@ -32,7 +32,7 @@ std::size_t Scheduler::run_until(Time deadline) {
     const Event event = queue_.pop_next();
     if (cancelled(event)) continue;  // dead timer entry
     now_ = event.at;
-    event.handle.resume();
+    dispatch(event.target);
     ++resumed;
     if (prof_every_ != 0 && --prof_countdown_ == 0) profile_sample();
     if (first_error_) {

@@ -4,7 +4,9 @@
 /// The discrete-event scheduler.  Every suspension point in the simulator
 /// (delays, message arrivals, resource grants, barrier releases) funnels
 /// through this queue, which orders events by (time, insertion sequence) —
-/// FIFO among simultaneous events — so runs are fully deterministic.
+/// FIFO among simultaneous events — so runs are fully deterministic.  An
+/// event resumes a coroutine or fires a frame-less `Step` (step.hpp); both
+/// share one sequence, so order never depends on which kind an event is.
 
 #include <chrono>
 #include <coroutine>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/step.hpp"
 #include "sim/time.hpp"
 #include "util/require.hpp"
 
@@ -31,6 +34,8 @@ class Process;
 ///
 /// Coroutine frames are owned by their parents (`Task` objects live in the
 /// awaiting frame); top-level `Process` frames self-destroy at completion.
+/// A spawned `Step` counts as a process too, from `spawn` until it calls
+/// `note_process_finished`.
 /// A simulation is expected to run to quiescence — `run()` drains the queue
 /// and `live_processes()` must reach zero (server loops exit via closed
 /// channels).  Destroying a scheduler with live processes leaks their
@@ -44,15 +49,16 @@ class Scheduler {
   /// Current simulated time.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Enqueues a coroutine to resume at absolute time `at` (>= now()).
-  void schedule_at(std::coroutine_handle<> handle, Time at) {
+  /// Enqueues a coroutine to resume, or a step to fire, at absolute time
+  /// `at` (>= now()).
+  void schedule_at(Target target, Time at) {
     S3A_CHECK_MSG(at >= now_, "cannot schedule into the past");
-    queue_.push(Event{at, next_seq_++, handle, kNoCancelSlot, 0});
+    queue_.push(Event{at, next_seq_++, target, kNoCancelSlot, 0});
   }
 
-  /// Enqueues a coroutine to resume at the current time, after all events
-  /// already enqueued for this instant (FIFO fairness).
-  void schedule_now(std::coroutine_handle<> handle) { schedule_at(handle, now_); }
+  /// Enqueues a target at the current time, after all events already
+  /// enqueued for this instant (FIFO fairness).
+  void schedule_now(Target target) { schedule_at(target, now_); }
 
   // --- Cancellable entries -------------------------------------------------
   //
@@ -114,6 +120,13 @@ class Scheduler {
   /// Starts a top-level detached process at the current time.
   void spawn(Process process);
 
+  /// Fires `step` at the current time as a detached process: it counts in
+  /// `live_processes()` until it calls `note_process_finished()`.
+  void spawn(Step& step) {
+    note_process_started();
+    schedule_now(&step);
+  }
+
   /// Runs until the event queue is empty.  Returns the number of resumptions
   /// performed.  Rethrows the first exception that escaped any process.
   std::size_t run();
@@ -165,7 +178,8 @@ class Scheduler {
   /// Awaitable: yield to other same-time events, resuming afterwards.
   [[nodiscard]] DelayAwaiter yield() noexcept { return DelayAwaiter{*this, 1}; }
 
-  // Process bookkeeping (used by Process' promise; not for applications).
+  // Process bookkeeping (used by Process' promise and by spawned steps;
+  // not for applications).
   void note_process_started() noexcept { ++live_; }
   void note_process_finished() noexcept {
     --live_;
@@ -180,6 +194,21 @@ class Scheduler {
   [[nodiscard]] bool cancelled(const Event& event) const noexcept {
     return event.cancel_slot != kNoCancelSlot &&
            cancel_gens_[event.cancel_slot] != event.cancel_gen;
+  }
+
+  /// Resumes or fires one event's target.  A step's exception is recorded
+  /// as a failed process's would be; a coroutine's never reaches here (its
+  /// promise captures it).
+  void dispatch(Target target) noexcept {
+    if (!target.is_step()) {
+      target.handle().resume();
+      return;
+    }
+    try {
+      target.step()->fire();
+    } catch (...) {
+      note_process_failed(std::current_exception());
+    }
   }
 
   /// Records one profiler sample and re-arms the countdown (out of line —

@@ -27,7 +27,7 @@ namespace s3asim::sim {
 /// function returning `Process`, then hand it to `Scheduler::spawn`.
 class [[nodiscard]] Process {
  public:
-  struct promise_type : PooledFramePromise {
+  struct promise_type : PoolAllocated {
     Scheduler* scheduler = nullptr;
 
     Process get_return_object() {
@@ -80,7 +80,7 @@ inline void Scheduler::spawn(Process process) {
 template <class T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : PooledFramePromise {
+  struct promise_type : PoolAllocated {
     std::coroutine_handle<> continuation{};
     std::optional<T> value{};
     std::exception_ptr error{};
@@ -148,7 +148,7 @@ class [[nodiscard]] Task {
 template <>
 class [[nodiscard]] Task<void> {
  public:
-  struct promise_type : PooledFramePromise {
+  struct promise_type : PoolAllocated {
     std::coroutine_handle<> continuation{};
     std::exception_ptr error{};
 

@@ -282,8 +282,9 @@ TEST(CommTest, PostedSendArrivesWhenAnIsendWould) {
   EXPECT_EQ(posted, arrival(false));
 }
 
-TEST(CommTest, BlockingPairTakesTwoPooledFramesPerMessage) {
-  // deliver and Network::transfer; send and recv add no frame of their own.
+TEST(CommTest, BlockingPairTakesNoPooledBlocks) {
+  // The delivery step and its transfer live in the send awaiter, and recv
+  // adds no frame of its own.
   constexpr int kMessages = 100;
   Fixture f(2);
   auto sender = [](Fixture& fx) -> Process {
@@ -300,8 +301,35 @@ TEST(CommTest, BlockingPairTakesTwoPooledFramesPerMessage) {
   f.sched.spawn(sender(f));
   f.sched.spawn(receiver(f));
   f.sched.run();
-  // Minus the two Process frames.
-  EXPECT_EQ(pool.allocations() - before - 2, 2u * kMessages);
+  // Only the two Process frames.
+  EXPECT_EQ(pool.allocations() - before, 2u);
+}
+
+TEST(CommTest, PostTakesOnePooledBlockPerMessage) {
+  // A posted delivery has no awaiting frame to live in: one block each,
+  // returned when the message is matched.
+  constexpr int kMessages = 100;
+  Fixture f(2);
+  auto sender = [](Fixture& fx) -> Process {
+    for (int i = 0; i < kMessages; ++i) fx.comm.post(0, 1, 1, 64, i);
+    co_return;
+  };
+  auto receiver = [](Fixture& fx) -> Process {
+    for (int i = 0; i < kMessages; ++i) {
+      const Message m = co_await fx.comm.recv(1, 0, 1);
+      EXPECT_EQ(m.as<int>(), i);
+    }
+  };
+  const sim::FramePool& pool = sim::FramePool::local();
+  const std::uint64_t before = pool.allocations();
+  const std::uint64_t live = pool.live();
+  f.sched.spawn(sender(f));
+  f.sched.spawn(receiver(f));
+  f.sched.run();
+  EXPECT_EQ(pool.allocations() - before, 2u + kMessages);
+  EXPECT_EQ(pool.live(), live);
+  EXPECT_EQ(f.sched.live_processes(), 0u);
+  EXPECT_EQ(f.sched.finished_processes(), 2u + kMessages);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -26,6 +27,52 @@ Process do_transfer(Scheduler& sched, net::Network& network, net::EndpointId src
                     net::EndpointId dst, std::uint64_t bytes, Time& done_at) {
   co_await network.transfer(src, dst, bytes);
   done_at = sched.now();
+}
+
+/// A transfer sent `start` after time zero; records its completion time
+/// and appends `id` to `order` when it completes.
+Process timed_transfer(Scheduler& sched, net::Network& network, Time start,
+                       net::EndpointId src, net::EndpointId dst,
+                       std::uint64_t bytes, Time& done_at,
+                       std::vector<std::size_t>& order, std::size_t id) {
+  co_await sched.delay(start);
+  co_await network.transfer(src, dst, bytes);
+  done_at = sched.now();
+  order.push_back(id);
+}
+
+struct Send {
+  Time start;
+  net::EndpointId src;
+  net::EndpointId dst;
+  std::uint64_t bytes;
+};
+
+/// Runs `sends` to quiescence; returns their completion times and fills
+/// `order` with their indices in completion order.
+std::vector<Time> run_sends(Scheduler& sched, net::Network& network,
+                            const std::vector<Send>& sends,
+                            std::vector<std::size_t>& order) {
+  std::vector<Time> done(sends.size(), -1);
+  for (std::size_t i = 0; i < sends.size(); ++i)
+    sched.spawn(timed_transfer(sched, network, sends[i].start, sends[i].src,
+                               sends[i].dst, sends[i].bytes, done[i], order,
+                               i));
+  sched.run();
+  return done;
+}
+
+/// One endpoint's counters as a comparable row: messages sent and
+/// received, bytes sent and received, TX and RX busy time.
+std::vector<std::int64_t> counter_row(const net::Network& network,
+                                      net::EndpointId id) {
+  const net::EndpointCounters& c = network.counters(id);
+  return {static_cast<std::int64_t>(c.messages_sent),
+          static_cast<std::int64_t>(c.messages_received),
+          static_cast<std::int64_t>(c.bytes_sent),
+          static_cast<std::int64_t>(c.bytes_received),
+          c.tx_busy,
+          c.rx_busy};
 }
 
 TEST(NetworkTest, SingleTransferTiming) {
@@ -125,6 +172,62 @@ TEST(NetworkTest, InvalidEndpointRejected) {
   Time done = -1;
   sched.spawn(do_transfer(sched, network, 0, 5, 10, done));
   EXPECT_THROW(sched.run(), std::invalid_argument);
+}
+
+// The next two pins hold the event count, completion times and order, and
+// every endpoint counter that the coroutine form of a transfer produced, so
+// a transfer that pushed an event more or fewer, or in another order, shows
+// here.  Only tests reach the bounded-fabric stages.
+
+TEST(NetworkTest, ThreeSendersIntoOneReceiverMatchPinnedTimeline) {
+  Scheduler sched;
+  auto params = simple_params();
+  params.per_message_overhead = 250;
+  net::Network network(sched, 4, params);
+  std::vector<std::size_t> order;
+  // Endpoint 0 sends twice (TX contention), 1 once, 2 once after 300 ns;
+  // all into endpoint 3, which also sends to itself.
+  const auto done = run_sends(sched, network,
+                              {{0, 0, 3, 1000},
+                               {0, 0, 3, 1000},
+                               {0, 1, 3, 500},
+                               {300, 2, 3, 2000},
+                               {0, 3, 3, 100}},
+                              order);
+  EXPECT_EQ(done, (std::vector<Time>{3750, 5000, 2500, 7250, 250}));
+  EXPECT_EQ(order, (std::vector<std::size_t>{4, 2, 0, 1, 3}));
+  EXPECT_EQ(sched.events_processed(), 23u);
+  EXPECT_EQ(sched.now(), 7250);
+  using Row = std::vector<std::int64_t>;
+  EXPECT_EQ(counter_row(network, 0), (Row{2, 0, 2000, 0, 2500, 0}));
+  EXPECT_EQ(counter_row(network, 1), (Row{1, 0, 500, 0, 750, 0}));
+  EXPECT_EQ(counter_row(network, 2), (Row{1, 0, 2000, 0, 2250, 0}));
+  EXPECT_EQ(counter_row(network, 3), (Row{1, 5, 100, 4600, 0, 5500}));
+}
+
+TEST(NetworkTest, FabricOfOneMatchesPinnedTimeline) {
+  Scheduler sched;
+  auto params = simple_params();
+  params.per_message_overhead = 100;
+  params.fabric_concurrent_transfers = 1;
+  net::Network network(sched, 4, params);
+  std::vector<std::size_t> order;
+  const auto done = run_sends(sched, network,
+                              {{0, 0, 2, 1000},
+                               {0, 1, 3, 1000},
+                               {0, 0, 3, 500},
+                               {0, 2, 1, 200},
+                               {500, 3, 0, 300}},
+                              order);
+  EXPECT_EQ(done, (std::vector<Time>{3200, 4300, 5100, 3800, 4300}));
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 3, 1, 4, 2}));
+  EXPECT_EQ(sched.events_processed(), 26u);
+  EXPECT_EQ(sched.now(), 5100);
+  using Row = std::vector<std::int64_t>;
+  EXPECT_EQ(counter_row(network, 0), (Row{2, 1, 1500, 300, 1700, 400}));
+  EXPECT_EQ(counter_row(network, 1), (Row{1, 1, 1000, 200, 1100, 300}));
+  EXPECT_EQ(counter_row(network, 2), (Row{1, 1, 200, 1000, 300, 1100}));
+  EXPECT_EQ(counter_row(network, 3), (Row{1, 2, 300, 1500, 400, 1700}));
 }
 
 TEST(NetworkTest, ManySendersAggregateThroughputBounded) {
