@@ -1,14 +1,19 @@
 /// Unit tests for the per-client write-back cache (pfs/cache.hpp
 /// ClientCache): LRU eviction order, flush-behind dirty-run coalescing,
 /// revocation invalidation, sync flush, close flush, and hit/miss
-/// accounting.
+/// accounting; plus the per-block extent-list helpers against a per-byte
+/// reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pfs/cache.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -208,6 +213,78 @@ TEST(ClientCacheTest, PartialReadReturnsOnlyMissingPieces) {
   EXPECT_EQ(missing[1].offset, 32u);
   EXPECT_EQ(missing[1].length, 32u);
   EXPECT_EQ(cache.stats().read_misses, 1u);  // block partially missing
+}
+
+// ---- extent-list helpers: per-byte reference ------------------------------
+
+/// The maximal runs of set bytes, ascending: the only sorted, disjoint,
+/// non-adjacent extent list that holds exactly those bytes.
+std::vector<Extent> runs_of(const std::vector<bool>& bytes) {
+  std::vector<Extent> runs;
+  for (std::uint64_t b = 0; b < bytes.size(); ++b) {
+    if (!bytes[b]) continue;
+    if (!runs.empty() && runs.back().end() == b) {
+      ++runs.back().length;
+    } else {
+      runs.push_back(Extent{b, 1});
+    }
+  }
+  return runs;
+}
+
+TEST(CacheRangeTest, AddAndSubtractMatchAPerByteReference) {
+  // Random ranges, and ranges aimed at an existing extent: touching its
+  // edge from outside (adjacent), strictly inside it (splitting), or
+  // covering it and its neighbours.  Empty and reversed ranges are no-ops.
+  namespace detail = s3asim::pfs::cache_detail;
+  constexpr std::uint64_t kSpan = 256;
+  s3asim::util::Xoshiro256 rng(2024);
+  auto below = [&rng](std::uint64_t n) { return n == 0 ? 0 : rng() % n; };
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Extent> set;
+    std::vector<bool> bytes(kSpan, false);
+    for (int op = 0; op < 64; ++op) {
+      std::uint64_t begin = below(kSpan);
+      std::uint64_t end = begin + below(48);
+      if (!set.empty()) {
+        const Extent& target = set[below(set.size())];
+        switch (rng() % 5) {
+          case 0:  // adjacent on the left
+            end = target.offset;
+            begin = end - std::min(end, 1 + below(16));
+            break;
+          case 1:  // adjacent on the right
+            begin = target.end();
+            end = begin + 1 + below(16);
+            break;
+          case 2:  // strictly inside: splits on subtract
+            if (target.length >= 3) {
+              begin = target.offset + 1 + below(target.length - 2);
+              end = begin + 1 + below(target.end() - 1 - begin);
+            }
+            break;
+          case 3:  // covers the extent and reaches past it
+            begin = target.offset - std::min(target.offset, below(24));
+            end = target.end() + below(24);
+            break;
+          default:  // random, sometimes empty or reversed
+            if (rng() % 8 == 0) std::swap(begin, end);
+        }
+      }
+      end = std::min(end, kSpan);
+      const bool add = rng() % 2 == 0;
+      SCOPED_TRACE("trial " + std::to_string(trial) + " op " +
+                   std::to_string(op) + (add ? " add [" : " subtract [") +
+                   std::to_string(begin) + ", " + std::to_string(end) + ")");
+      if (add) {
+        detail::add_range(set, begin, end);
+      } else {
+        detail::subtract_range(set, begin, end);
+      }
+      for (std::uint64_t b = begin; b < end; ++b) bytes[b] = add;
+      ASSERT_EQ(set, runs_of(bytes));
+    }
+  }
 }
 
 }  // namespace
