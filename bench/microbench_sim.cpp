@@ -161,6 +161,66 @@ void BM_FigureEventMix(benchmark::State& state) {
 }
 BENCHMARK(BM_FigureEventMix)->Arg(32)->Arg(300);
 
+// Figure-shaped push mix.  BM_FigureEventMix keeps many chains in flight
+// at once, so almost none of its pushes is a new minimum; figure traffic
+// is near-future instead (DESIGN.md §7).  Here most processes sit in a
+// long compute delay while about one runs a burst of requests, each of
+// ns–µs steps: wire time and link latency to a server, a same-instant
+// wakeup of the server process (when idle), a service delay, a
+// same-instant reply wakeup, and the reply's latency back.  Counted in an
+// instrumented build at 48 procs: 33% of pushes are same-instant; of the
+// others, 52% are a new minimum and 97.5% land among the 16 nearest
+// pending events; 41 events are pending off the lane at a pop on average.
+void BM_FigureNearFutureMix(benchmark::State& state) {
+  const auto procs = static_cast<int>(state.range(0));
+  constexpr int kBursts = 4;
+  constexpr int kRequests = 8;
+  constexpr std::size_t kServers = 8;
+  struct Request {
+    sim::Channel<int>* reply;
+    sim::Time service;
+  };
+  using Inbox = sim::Channel<Request>;
+  for (auto _ : state) {
+    Scheduler sched;
+    std::vector<std::unique_ptr<Inbox>> inboxes;
+    for (std::size_t i = 0; i < kServers; ++i)
+      inboxes.push_back(std::make_unique<Inbox>(sched));
+    auto server = [](Scheduler& s, Inbox& inbox) -> Process {
+      while (auto request = co_await inbox.pop()) {
+        co_await s.delay(request->service);
+        request->reply->push(0);
+      }
+    };
+    int running = procs;
+    auto proc = [](Scheduler& s, std::vector<std::unique_ptr<Inbox>>& pool,
+                   int& left, int id) -> Process {
+      util::Xoshiro256 rng(static_cast<std::uint64_t>(id) + 1);
+      sim::Channel<int> reply(s);
+      for (int b = 0; b < kBursts; ++b) {
+        co_await s.delay(4'000'000 +
+                         static_cast<sim::Time>(rng() % 6'000'000));
+        for (int q = 0; q < kRequests; ++q) {
+          co_await s.delay(1'633 + static_cast<sim::Time>(rng() % 133));
+          co_await s.delay(7'500);
+          pool[rng() % kServers]->push(
+              Request{&reply, 1'000 + static_cast<sim::Time>(rng() % 4'000)});
+          (void)co_await reply.pop();
+          co_await s.delay(7'500);
+        }
+      }
+      if (--left == 0)
+        for (auto& inbox : pool) inbox->close();
+    };
+    for (auto& inbox : inboxes) sched.spawn(server(sched, *inbox));
+    for (int p = 0; p < procs; ++p)
+      sched.spawn(proc(sched, inboxes, running, p));
+    benchmark::DoNotOptimize(sched.run());
+  }
+  state.SetItemsProcessed(state.iterations() * procs * kBursts * kRequests);
+}
+BENCHMARK(BM_FigureNearFutureMix)->Arg(48);
+
 void BM_ChannelPingPong(benchmark::State& state) {
   const auto rounds = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -1,28 +1,35 @@
 #pragma once
 
 /// \file event_queue.hpp
-/// The scheduler's event queue: a same-instant FIFO *lane*, a one-entry
-/// *front slot* and a 4-ary min-heap over compact, trivially-copyable
+/// The scheduler's event queue: a same-instant FIFO *lane*, a 16-entry
+/// sorted *near run* and a 4-ary min-heap over compact, trivially-copyable
 /// entries, dispatching in exact `(time, insertion sequence)` order.
 ///
-/// The figure runs keep few events pending (30 on average for WW-POSIX at
-/// 96 procs), at mostly distinct ns–µs times, plus same-instant wakeups
-/// (gate grants, resource handoffs).  The lane takes every push whose `at`
-/// equals its instant (while empty: the last dispatched time); `seq` only
-/// grows, so appending keeps it sorted.  Of the other pushes, 48–64% are a
-/// new minimum (15% for WW-Coll).  The front slot holds one entry and, while
-/// occupied, precedes every heap entry: a push takes it if it precedes the
-/// slot's entry (which sifts into the heap) or, with the slot empty, the
-/// heap top.  Other pushes go to the heap.  Unlike the per-delay tiers that
-/// lost (DESIGN.md §7), it needs no delay classes: one compare per push and
-/// per pop.  The next event is the smaller of the lane's front and the slot
-/// (or heap top), so the tiers affect speed, never order — also for pushes
-/// behind the last dispatched time (after `run_until`, or after a
-/// cancelled far-future entry was skipped).  Cancellation is a
-/// `(cancel_slot, cancel_gen)` pair checked against the scheduler's token
-/// pool, and the target is one tagged word (a coroutine handle or a step),
-/// so entries stay POD.
+/// The figure runs keep 30–125 events pending at mostly distinct ns–µs
+/// times, plus same-instant wakeups (gate grants, resource handoffs).  The
+/// lane takes every push whose `at` equals its instant (while empty: the
+/// last dispatched time); `seq` only grows, so appending keeps it sorted.
+/// The other pushes are near-future traffic: 94–98% of them land among the
+/// 16 nearest pending events (55% for WW-Coll), and 46–64% are a new
+/// minimum.  The near run holds up to 16 of them in descending `(at, seq)`
+/// order, so its earliest entry is its last and a new minimum is an append.
+/// It is a ring: a push later than every entry goes in front of the head,
+/// so an ascending burst (released barrier waiters, each delaying a little
+/// longer than the last) shifts nothing either, and neither does a spill.
+/// A push joins the run while it has room; once it is full, a push that
+/// precedes the run's latest entry joins it and that entry moves to the
+/// heap, and every other push goes to the heap.  The run is not required
+/// to precede the heap: the next event is the earliest of the lane's front,
+/// the run's last entry and the heap top, so the tiers affect speed, never
+/// order — also for pushes behind the last dispatched time (after
+/// `run_until`, or after a cancelled far-future entry was skipped).  A push
+/// carries the largest `seq` pending, so an entry precedes it exactly when
+/// the entry's `at` is not later: insertion compares `at` alone.
+/// Cancellation is a `(cancel_slot, cancel_gen)` pair checked against the
+/// scheduler's token pool, and the target is one tagged word (a coroutine
+/// handle or a step), so entries stay POD.  DESIGN.md §7 has the traces.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -51,46 +58,84 @@ struct Event {
 class EventQueue {
  public:
   [[nodiscard]] bool empty() const noexcept {
-    return !has_front_ && lane_.empty() && heap_.empty();
+    return run_size_ == 0 && lane_.empty() && heap_.empty();
   }
   [[nodiscard]] std::size_t size() const noexcept {
-    return lane_.size() + heap_.size() + (has_front_ ? 1 : 0);
+    return lane_.size() + run_size_ + heap_.size();
   }
 
   /// Enqueues `event`; its `seq` must exceed every earlier push's.
   void push(const Event& event) {
     if (event.at == lane_at_) {
       lane_.push_back(event);
-    } else if (has_front_ ? !before(event, front_)
-                          : !heap_.empty() && !before(event, heap_.front())) {
-      heap_push(event);
-    } else {
-      if (has_front_) heap_push(front_);  // sifts to the root
-      front_ = event;
-      has_front_ = true;
+      return;
     }
+    // `event` carries the largest seq pending, so an entry precedes it
+    // exactly when the entry's `at` is not later: `at` alone places it.
+    if (run_size_ == kRunCapacity) {
+      if (event.at >= run_entry(0).at) {
+        heap_push(event);
+        return;
+      }
+      heap_push(run_entry(0));  // the run's latest entry makes room
+      run_head_ = (run_head_ + 1) % kRunCapacity;
+      --run_size_;
+    }
+    std::size_t i = run_size_;
+    if (i == 0 || event.at >= run_entry(0).at) {
+      run_head_ = (run_head_ + kRunCapacity - 1) % kRunCapacity;
+      i = 0;  // the new latest entry, ahead of the old head
+    } else {
+      for (; run_entry(i - 1).at <= event.at; --i)
+        run_entry(i) = run_entry(i - 1);
+    }
+    store(run_entry(i), event);
+    ++run_size_;
   }
 
   /// Next event in (at, seq) order.  Requires !empty().
   [[nodiscard]] const Event& top() const {
     S3A_CHECK_MSG(!empty(), "top on an empty event queue");
-    if (lane_first()) return lane_.front();
-    return has_front_ ? front_ : heap_.front();
+    switch (next_source()) {
+      case Source::Lane: return lane_.front();
+      case Source::Run: return run_entry(run_size_ - 1);
+      case Source::Heap: break;
+    }
+    return heap_.front();
   }
 
   /// Removes and returns the next event.  Requires !empty().
   [[nodiscard]] Event pop_next() {
     S3A_CHECK_MSG(!empty(), "pop on an empty event queue");
-    const bool from_lane = lane_first();
-    const Event event = from_lane    ? lane_.pop_front()
-                        : has_front_ ? front_
-                                     : heap_pop();
-    has_front_ = has_front_ && from_lane;  // emptied if it went next
+    Event event;
+    switch (next_source()) {
+      case Source::Lane:
+        store(event, lane_.front());
+        (void)lane_.pop_front();
+        break;
+      case Source::Run: store(event, run_entry(--run_size_)); break;
+      case Source::Heap: event = heap_pop(); break;
+    }
     if (lane_.empty()) lane_at_ = event.at;
     return event;
   }
 
  private:
+  /// The near run's capacity, chosen by measurement (DESIGN.md §7): 16
+  /// and 32 timed alike on the Fig 2 peak, 64 lost at 1,024 procs.
+  static constexpr std::size_t kRunCapacity = 16;
+
+  enum class Source : std::uint8_t { Lane, Run, Heap };
+
+  /// Entry `k` of the near run, counted from its latest entry (0) to its
+  /// earliest (`run_size_ - 1`).
+  [[nodiscard]] Event& run_entry(std::size_t k) noexcept {
+    return run_[(run_head_ + k) % kRunCapacity];
+  }
+  [[nodiscard]] const Event& run_entry(std::size_t k) const noexcept {
+    return run_[(run_head_ + k) % kRunCapacity];
+  }
+
   /// (at, seq) order as one 128-bit compare (`at` is never negative): no
   /// branch to mispredict on the frequent ties in `at`.
   [[nodiscard]] static bool before(const Event& a, const Event& b) noexcept {
@@ -99,16 +144,38 @@ class EventQueue {
            (Key{static_cast<std::uint64_t>(b.at)} << 64 | b.seq);
   }
 
-  /// True when the lane's front precedes the front slot (or, while the
-  /// slot is empty, the heap top).  Requires !empty().
-  [[nodiscard]] bool lane_first() const noexcept {
-    const Event* other =
-        has_front_ ? &front_ : heap_.empty() ? nullptr : heap_.data();
-    return other == nullptr ||
-           (!lane_.empty() && before(lane_.front(), *other));
+  /// Which tier holds the next event: the earliest of the lane's front,
+  /// the run's last entry and the heap top.  Requires !empty().
+  [[nodiscard]] Source next_source() const noexcept {
+    Source source = Source::Lane;
+    const Event* best = lane_.empty() ? nullptr : &lane_.front();
+    if (run_size_ > 0) {
+      const Event& last = run_entry(run_size_ - 1);
+      if (best == nullptr || before(last, *best)) {
+        best = &last;
+        source = Source::Run;
+      }
+    }
+    if (!heap_.empty() && (best == nullptr || before(heap_.front(), *best)))
+      source = Source::Heap;
+    return source;
   }
 
-  void heap_push(const Event& event) {
+  /// Copies `event` field by field.  An aggregate copy lets GCC build a
+  /// freshly pushed event on the stack with 8-byte stores and reload it in
+  /// 16-byte halves that straddle them, which stalls store forwarding on
+  /// every push to the run and every pop from it.
+  static void store(Event& slot, const Event& event) noexcept {
+    slot.at = event.at;
+    slot.seq = event.seq;
+    slot.target = event.target;
+    slot.cancel_slot = event.cancel_slot;
+    slot.cancel_gen = event.cancel_gen;
+  }
+
+  /// By value: a reference would keep the pushed event's address live on
+  /// every push path, pinning it to the stack.
+  void heap_push(Event event) {
     heap_.push_back(event);
     sift_up(heap_.size() - 1, event);
   }
@@ -152,8 +219,9 @@ class EventQueue {
 
   FifoRing<Event> lane_;     ///< entries at `lane_at_`, seq order
   Time lane_at_ = 0;         ///< the lane's instant
-  Event front_{};            ///< the front slot: precedes every heap entry
-  bool has_front_ = false;   ///< the front slot is occupied
+  std::array<Event, kRunCapacity> run_{};  ///< near run: a ring, latest first
+  std::size_t run_head_ = 0;               ///< `run_` index of the latest
+  std::size_t run_size_ = 0;               ///< entries in the near run
   std::vector<Event> heap_;  ///< 4-ary min-heap on (at, seq)
 };
 

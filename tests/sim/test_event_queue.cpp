@@ -79,9 +79,10 @@ TEST(EventQueueTest, RandomInterleavedPushPopKeepsTotalOrder) {
   // Property test: interleave pushes (at >= current dispatch time, as the
   // scheduler guarantees) with pops and compare every popped event against
   // an ordered reference.  Same-instant pushes exercise the lane, the
-  // other deltas the heap.  The 1–1,000 ns class lands ahead of the other
-  // heap classes (at least 7,500 ns out), so many of its pushes are a new
-  // minimum and take the front slot.
+  // other deltas the near run and the heap.  The 1–1,000 ns class lands
+  // ahead of the other classes (at least 7,500 ns out), so many of its
+  // pushes are a new minimum; with hundreds pending the run stays full and
+  // spills its latest entries to the heap.
   s3asim::util::Xoshiro256 rng(99);
   EventQueue queue;
   std::set<RefEntry> reference;  // not yet popped
@@ -161,10 +162,9 @@ TEST(EventQueueTest, EarlierPushesAfterAStaleFarFutureEntryKeepOrder) {
   expect_fifo_order(queue, std::move(expected));
 }
 
-TEST(EventQueueTest, FrontSlotYieldsToEarlierPushesAndCountsInTopAndSize) {
-  // Off the lane's instant (t=0): t=50 takes the empty front slot, t=40
-  // displaces it into the heap, and a later t=40 (higher seq) sorts behind
-  // the slot's entry.
+TEST(EventQueueTest, NearRunYieldsToEarlierPushesAndCountsInTopAndSize) {
+  // Off the lane's instant (t=0): t=50 joins the empty near run, t=40 sorts
+  // ahead of it, and a later t=40 (higher seq) sorts behind the first t=40.
   EventQueue queue;
   queue.push({50, 0, {}, kNoCancelSlot, 0});
   EXPECT_EQ(queue.top().seq, 0u);
@@ -177,6 +177,54 @@ TEST(EventQueueTest, FrontSlotYieldsToEarlierPushesAndCountsInTopAndSize) {
   EXPECT_EQ(queue.top().seq, 1u);
   EXPECT_EQ(queue.size(), 3u);
   expect_fifo_order(queue, {{40, 1}, {40, 2}, {50, 0}});
+}
+
+TEST(EventQueueTest, FullNearRunSpillsItsLatestEntryToTheHeap) {
+  // Off the lane's instant (t=0), 16 pushes of t=10..160 in scrambled order
+  // fill the near run.  A 17th push (t=75) precedes the run's latest entry,
+  // so t=160 moves to the heap; an 18th (t=40, tying an entry already in
+  // the run) spills t=150 and must drain after the earlier t=40; a 19th
+  // (t=5) spills t=140 and becomes the top.
+  EventQueue queue;
+  std::vector<RefEntry> expected;
+  std::uint64_t seq = 0;
+  for (Time k = 0; k < 16; ++k)
+    push(queue, expected, 10 * (1 + k * 7 % 16), seq);
+  EXPECT_EQ(queue.top().at, Time{10});
+  EXPECT_EQ(queue.size(), 16u);
+  push(queue, expected, Time{75}, seq);
+  EXPECT_EQ(queue.top().at, Time{10});
+  EXPECT_EQ(queue.size(), 17u);
+  push(queue, expected, Time{40}, seq);
+  EXPECT_EQ(queue.top().at, Time{10});
+  EXPECT_EQ(queue.size(), 18u);
+  push(queue, expected, Time{5}, seq);  // full run: spills t=140
+  EXPECT_EQ(queue.top().at, Time{5});
+  EXPECT_EQ(queue.top().seq, 18u);
+  EXPECT_EQ(queue.size(), 19u);
+  expect_fifo_order(queue, std::move(expected));
+}
+
+TEST(EventQueueTest, HeapEntryPrecedingALaterNearRunEntryPopsFirst) {
+  // The run need not precede the heap.  Fill the run (t=10..160), push X
+  // (t=170) past its latest entry, so X goes to the heap; pop two, then
+  // push Y (t=180), which joins the run now that it has room.  Once the
+  // run holds only Y, the heap's X is the earlier event.
+  EventQueue queue;
+  std::vector<RefEntry> expected;
+  std::uint64_t seq = 0;
+  for (Time at = 10; at <= 160; at += 10) push(queue, expected, at, seq);
+  push(queue, expected, Time{170}, seq);  // X
+  std::sort(expected.begin(), expected.end());
+  for (int i = 0; i < 2; ++i) {
+    const Event event = queue.pop_next();
+    EXPECT_EQ(event.at, expected.front().at);
+    EXPECT_EQ(event.seq, expected.front().seq);
+    expected.erase(expected.begin());
+  }
+  push(queue, expected, Time{180}, seq);  // Y
+  EXPECT_EQ(queue.size(), 16u);
+  expect_fifo_order(queue, std::move(expected));
 }
 
 TEST(EventQueueTest, SizeTracksPushesAndPops) {
@@ -244,9 +292,9 @@ TEST(EventQueueTest, CancelledEntriesAreSkippedWithoutAdvancingTime) {
   EXPECT_EQ(sched.now(), 10);  // never visited the cancelled deadline
 }
 
-TEST(EventQueueTest, CancelledFrontSlotEntryIsSkippedWithoutAdvancingTime) {
+TEST(EventQueueTest, CancelledNearRunEntryIsSkippedWithoutAdvancingTime) {
   // The waiter's deadline entry (t=100) is the only pending entry off the
-  // lane, so it sits in the front slot when the canceller disarms the timer
+  // lane, so it sits in the near run when the canceller disarms the timer
   // at t=0.  run() must discard it there and leave now() at 0; a later
   // spawn still dispatches at its own time.
   Scheduler sched;
