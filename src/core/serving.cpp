@@ -87,29 +87,34 @@ std::vector<Arrival> generate_arrivals(const ServingConfig& serving,
   // One independent exponential-gap stream per tenant (forked from the
   // workload seed, so the arrival pattern is part of the same determinism
   // contract), k-way merged by time with the tenant index as tie-break.
-  util::Xoshiro256 root(workload.seed);
-  std::vector<util::Xoshiro256> rngs;
-  std::vector<double> next_at(rates.size(),
-                              std::numeric_limits<double>::infinity());
-  rngs.reserve(rates.size());
-  auto exp_gap = [](util::Xoshiro256& rng, double rate) {
+  struct Stream {
+    util::Xoshiro256 rng;
+    double rate = 0.0;
+    double next_at = std::numeric_limits<double>::infinity();
+  };
+  auto exp_gap = [](Stream& stream) {
     // Inverse-CDF sampling; 1 - uniform() is in (0, 1], so the log is
     // finite and the gap strictly positive.
-    return -std::log(1.0 - rng.uniform()) / rate;
+    return -std::log(1.0 - stream.rng.uniform()) / stream.rate;
   };
+  util::Xoshiro256 root(workload.seed);
+  std::vector<Stream> streams;
+  streams.reserve(rates.size());
   for (std::size_t t = 0; t < rates.size(); ++t) {
-    rngs.push_back(root.fork(util::hash_combine(kArrivalSalt, t)));
-    if (rates[t] > 0.0) next_at[t] = exp_gap(rngs[t], rates[t]);
+    Stream& stream = streams.emplace_back(
+        Stream{root.fork(util::hash_combine(kArrivalSalt, t)), rates[t]});
+    if (stream.rate > 0.0) stream.next_at = exp_gap(stream);
   }
   for (std::uint32_t q = 0; q < count; ++q) {
     std::size_t pick = 0;
-    for (std::size_t t = 1; t < rates.size(); ++t)
-      if (next_at[t] < next_at[pick]) pick = t;
-    S3A_CHECK_MSG(std::isfinite(next_at[pick]),
+    for (std::size_t t = 1; t < streams.size(); ++t)
+      if (streams[t].next_at < streams[pick].next_at) pick = t;
+    Stream& stream = streams[pick];
+    S3A_CHECK_MSG(std::isfinite(stream.next_at),
                   "no tenant has a positive arrival rate");
-    arrivals.push_back(
-        Arrival{sim::seconds(next_at[pick]), static_cast<std::uint32_t>(pick)});
-    next_at[pick] += exp_gap(rngs[pick], rates[pick]);
+    arrivals.push_back(Arrival{sim::seconds(stream.next_at),
+                               static_cast<std::uint32_t>(pick)});
+    stream.next_at += exp_gap(stream);
   }
   return arrivals;
 }

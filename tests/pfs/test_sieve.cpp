@@ -44,15 +44,14 @@ std::vector<SieveWindow> brute_force_windows(std::span<const Extent> extents,
   std::size_t i = 0;
   while (i < bytes.size()) {
     const std::uint64_t start = bytes[i];
-    std::size_t j = i;
-    while (j < bytes.size() && bytes[j] < start + buffer) ++j;
     SieveWindow window;
+    std::size_t j = i + 1;
+    for (; j < bytes.size() && bytes[j] < start + buffer; ++j)
+      if (bytes[j] != bytes[j - 1] + 1) ++window.holes;
     window.offset = start;
     window.length = bytes[j - 1] + 1 - start;
     window.useful_bytes = j - i;
     window.hole_bytes = window.length - window.useful_bytes;
-    for (std::size_t k = i + 1; k < j; ++k)
-      if (bytes[k] != bytes[k - 1] + 1) ++window.holes;
     windows.push_back(window);
     i = j;
   }
