@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "pfs/cache.hpp"
@@ -66,6 +69,31 @@ class ByteReference {
     for (auto& [byte, holders] : bytes_) holders.erase(client);
   }
 
+  /// The mode `client` holds `byte` in, if any.
+  [[nodiscard]] std::optional<TokenMode> mode_at(std::uint32_t client,
+                                                 std::uint64_t byte) const {
+    const auto holders = bytes_.find(byte);
+    if (holders == bytes_.end()) return std::nullopt;
+    const auto held = holders->second.find(client);
+    if (held == holders->second.end()) return std::nullopt;
+    return held->second;
+  }
+
+  /// `client`'s canonical leases: its maximal same-mode runs, ascending.
+  [[nodiscard]] std::vector<FileToken> runs(std::uint32_t client) const {
+    std::vector<FileToken> out;
+    for (std::uint64_t byte = 0; byte < kDomain; ++byte) {
+      const std::optional<TokenMode> mode = mode_at(client, byte);
+      if (!mode) continue;
+      if (!out.empty() && out.back().end == byte && out.back().mode == *mode) {
+        ++out.back().end;
+      } else {
+        out.push_back(FileToken{byte, byte + 1, *mode, client});
+      }
+    }
+    return out;
+  }
+
   [[nodiscard]] const std::map<std::uint64_t,
                                std::map<std::uint32_t, TokenMode>>&
   bytes() const {
@@ -78,11 +106,39 @@ class ByteReference {
 
 /// The byte set a revocation list covers, per victim.
 std::map<std::uint32_t, std::set<std::uint64_t>> revocation_bytes(
-    const std::vector<TokenManager::Revocation>& revocations) {
+    std::span<const TokenManager::Revocation> revocations) {
   std::map<std::uint32_t, std::set<std::uint64_t>> out;
   for (const TokenManager::Revocation& revocation : revocations)
     for (std::uint64_t byte = revocation.begin; byte < revocation.end; ++byte)
       out[revocation.client].insert(byte);
+  return out;
+}
+
+/// Each victim's maximal contiguous runs of revoked bytes: the revocations
+/// one grant owes, merged per victim.
+std::uint64_t revocation_runs(
+    const std::map<std::uint32_t, std::set<std::uint64_t>>& revoked) {
+  std::uint64_t runs = 0;
+  for (const auto& [client, bytes] : revoked) {
+    std::optional<std::uint64_t> previous;
+    for (const std::uint64_t byte : bytes) {
+      if (!previous || *previous + 1 != byte) ++runs;
+      previous = byte;
+    }
+  }
+  return runs;
+}
+
+/// One client's leases in the manager, ascending.
+std::vector<FileToken> client_tokens(const TokenManager& manager,
+                                     FileHandle file, std::uint32_t client) {
+  std::vector<FileToken> out;
+  for (const FileToken& token : manager.file_tokens(file))
+    if (token.client == client) out.push_back(token);
+  std::sort(out.begin(), out.end(),
+            [](const FileToken& a, const FileToken& b) {
+              return a.begin < b.begin;
+            });
   return out;
 }
 
@@ -190,7 +246,10 @@ TEST(TokenManagerTest, FilesAreIndependent) {
 
 /// The property test: random acquire/covered/release traffic from several
 /// clients over a small byte domain, every step checked against the
-/// per-byte reference.
+/// per-byte reference.  The counters are derived from it too: each
+/// client's leases are its maximal same-mode runs, so a grant conflicts
+/// once per foreign run it overlaps in a conflicting mode, and owes one
+/// revocation per maximal run of a victim's revoked bytes.
 TEST(TokenManagerPropertyTest, MatchesPerByteReference) {
   std::mt19937_64 rng(20060627);
   std::uniform_int_distribution<std::uint64_t> offset_dist(0, kDomain - 1);
@@ -200,6 +259,9 @@ TEST(TokenManagerPropertyTest, MatchesPerByteReference) {
   TokenManager manager;
   ByteReference reference;
   const FileHandle file = 0;
+  std::uint64_t grants = 0;
+  std::uint64_t conflicts = 0;
+  std::uint64_t revocations_owed = 0;
 
   for (int step = 0; step < 2000; ++step) {
     const std::uint32_t client = client_dist(rng);
@@ -220,13 +282,39 @@ TEST(TokenManagerPropertyTest, MatchesPerByteReference) {
           << "step " << step << " covered(" << client << ", [" << begin << ", "
           << end << "))";
     } else {
+      for (std::uint32_t other = 1; other <= 4; ++other) {
+        if (other == client) continue;
+        for (const FileToken& run : reference.runs(other))
+          if (run.overlaps(begin, end) &&
+              (run.mode == TokenMode::Write || mode == TokenMode::Write))
+            ++conflicts;
+      }
       const auto revocations =
           manager.acquire(file, client, mode, begin, end);
       const auto expected = reference.acquire(client, mode, begin, end);
       EXPECT_EQ(revocation_bytes(revocations), expected)
           << "step " << step << " acquire(" << client << ", [" << begin
           << ", " << end << "))";
+      EXPECT_EQ(revocations.size(), revocation_runs(expected))
+          << "step " << step;
       EXPECT_TRUE(manager.covered(file, client, mode, begin, end));
+      ++grants;
+      revocations_owed += revocation_runs(expected);
+    }
+    ASSERT_EQ(manager.grants(), grants) << "step " << step;
+    ASSERT_EQ(manager.conflicts(), conflicts) << "step " << step;
+    ASSERT_EQ(manager.revocations(), revocations_owed) << "step " << step;
+    for (std::uint32_t holder = 1; holder <= 4; ++holder) {
+      const std::vector<FileToken> held =
+          client_tokens(manager, file, holder);
+      const std::vector<FileToken> runs = reference.runs(holder);
+      ASSERT_EQ(held.size(), runs.size())
+          << "step " << step << " client " << holder;
+      for (std::size_t i = 0; i < held.size(); ++i) {
+        EXPECT_EQ(held[i].begin, runs[i].begin) << "step " << step;
+        EXPECT_EQ(held[i].end, runs[i].end) << "step " << step;
+        EXPECT_EQ(held[i].mode, runs[i].mode) << "step " << step;
+      }
     }
   }
 
