@@ -55,8 +55,8 @@ struct SievePlan {
   }
 };
 
-/// Normalizes an extent list: drops empty extents, sorts by offset, and
-/// merges overlap/adjacency.  Exposed for tests (the property test checks
+/// Normalizes an extent list: drops empty extents, sorts by offset (unless
+/// already ascending), and merges overlap/adjacency.  Exposed for tests (the property test checks
 /// the plan against a per-byte reference built from the same input).
 [[nodiscard]] inline std::vector<Extent> coalesce_extents(
     std::span<const Extent> extents) {
@@ -64,10 +64,12 @@ struct SievePlan {
   sorted.reserve(extents.size());
   for (const Extent& extent : extents)
     if (extent.length != 0) sorted.push_back(extent);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Extent& a, const Extent& b) {
-              return a.offset < b.offset;
-            });
+  // Fragment loads pass ascending lists: check before sorting.
+  const auto by_offset = [](const Extent& a, const Extent& b) {
+    return a.offset < b.offset;
+  };
+  if (!std::is_sorted(sorted.begin(), sorted.end(), by_offset))
+    std::sort(sorted.begin(), sorted.end(), by_offset);
   std::vector<Extent> merged;
   merged.reserve(sorted.size());
   for (const Extent& extent : sorted) {

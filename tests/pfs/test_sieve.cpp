@@ -113,6 +113,24 @@ TEST(SievePlanTest, CoalesceSortsMergesAndDropsEmpties) {
   EXPECT_EQ(merged[1].length, 120u);  // {500,100} + adjacent {560,60}
 }
 
+TEST(SievePlanTest, CoalesceKeepsAscendingInputAndMergesIt) {
+  // Already ascending (equal offsets included), as fragment loads pass it:
+  // no sort is needed and the merge is the same.
+  const Extent input[] = {{0, 50},   {40, 20},  {60, 0},  {100, 10},
+                          {100, 30}, {130, 10}, {200, 5}, {300, 0}};
+  const std::vector<Extent> merged = pfs::coalesce_extents(input);
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[0].offset, 0u);
+  EXPECT_EQ(merged[0].length, 60u);   // {0,50} + overlapping {40,20}
+  EXPECT_EQ(merged[1].offset, 100u);
+  EXPECT_EQ(merged[1].length, 40u);   // {100,10}, {100,30}, adjacent {130,10}
+  EXPECT_EQ(merged[2].offset, 200u);
+  EXPECT_EQ(merged[2].length, 5u);
+  std::vector<Extent> strided;  // App::fragment_extents' shape
+  for (std::uint64_t i = 0; i < 1024; ++i) strided.push_back({i * 64, 16});
+  EXPECT_EQ(pfs::coalesce_extents(strided), strided);
+}
+
 TEST(SievePlanTest, RunLongerThanBufferSplitsWithoutHoles) {
   const Extent one[] = {{100, 1000}};
   const SievePlan plan = pfs::plan_sieve(one, 256);
