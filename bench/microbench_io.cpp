@@ -69,7 +69,8 @@ std::vector<pfs::Extent> client_extents(std::uint32_t client,
   std::vector<pfs::Extent> extents;
   extents.reserve(pieces_per_client);
   for (std::uint32_t k = 0; k < pieces_per_client; ++k) {
-    const std::uint64_t index = static_cast<std::uint64_t>(k) * clients + client;
+    const std::uint64_t index =
+        static_cast<std::uint64_t>(k) * clients + client;
     extents.push_back(pfs::Extent{index * piece, piece});
   }
   return extents;
@@ -135,7 +136,8 @@ void BM_PureIo(benchmark::State& state, Method method) {
   const auto pieces = static_cast<std::uint32_t>(state.range(1));
   const auto piece_bytes = static_cast<std::uint64_t>(state.range(2));
   IoRound round;
-  for (auto _ : state) round = pure_io_round(method, clients, pieces, piece_bytes);
+  for (auto _ : state)
+    round = pure_io_round(method, clients, pieces, piece_bytes);
   state.counters["simulated_io_s"] = round.seconds;
   state.counters["aggregate_MBps"] =
       static_cast<double>(clients) * pieces * static_cast<double>(piece_bytes) /
@@ -144,7 +146,8 @@ void BM_PureIo(benchmark::State& state, Method method) {
   state.counters["fs_pairs"] = static_cast<double>(round.pairs);
   state.counters["fs_bytes"] = static_cast<double>(round.bytes);
   state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(round.events), benchmark::Counter::kIsIterationInvariantRate);
+      static_cast<double>(round.events),
+      benchmark::Counter::kIsIterationInvariantRate);
   state.counters["peak_rss_mib"] = peak_rss_mib();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(clients) * pieces);

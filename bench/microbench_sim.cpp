@@ -258,7 +258,8 @@ void BM_BarrierCycles(benchmark::State& state) {
         co_await b.arrive_and_wait();
       }
     };
-    for (std::size_t p = 0; p < parties; ++p) sched.spawn(proc(sched, barrier, p));
+    for (std::size_t p = 0; p < parties; ++p)
+      sched.spawn(proc(sched, barrier, p));
     benchmark::DoNotOptimize(sched.run());
   }
   state.SetItemsProcessed(state.iterations() *
